@@ -1,0 +1,9 @@
+"""Make the benchmark's modules importable as top-level modules, the way
+``python3 perfbench/run.py`` sees them."""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)

@@ -90,7 +90,7 @@ def _time_configurations(resolution, parameters, num_samples, repeats,
         for name in ("per-sample", "blocked")
     }
     for _ in range(repeats):
-        study = _build_study(resolution, parameters)
+        study = _build_study(resolution, parameters, backend="numpy")
         deltas = _sample_chunk(study, num_samples)
 
         start = time.perf_counter()

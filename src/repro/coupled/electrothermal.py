@@ -79,10 +79,10 @@ class CoupledSolver:
     array_backend:
         :class:`~repro.backends.ArrayBackend` (or registered name) the
         fast-mode Woodbury solvers resolve their linear algebra
-        through; ``None`` picks the process default (``numpy``).  Only
-        the blocked :class:`BlockedCoupledSolver` path crosses the
-        device boundary -- assembly and the full-mode path stay on the
-        host regardless.
+        through; ``None`` picks the process default (``numpy``).  Every
+        fast-mode step -- per sample or blocked -- runs the one
+        sample-blocked kernel on this backend; assembly and the
+        full-mode path stay on the host regardless.
     """
 
     def __init__(
@@ -147,6 +147,26 @@ class CoupledSolver:
         self.el_fixed = fixed
         self.el_fixed_values = fixed_values
         self.el_free = np.nonzero(mask)[0]
+
+        # Length-invariant wire data of the fast-mode step kernel
+        # (segment/endpoint node indices, material, cross section,
+        # segment count); only the lengths vary between samples.
+        topology = self.topology
+        self._seg_start, self._seg_end, self._seg_wire = (
+            topology.segment_node_indices()
+        )
+        self._ep_start, self._ep_end = topology.endpoint_node_indices()
+        self._wire_materials = [wire.material for wire in topology.wires]
+        self._wire_areas = np.array(
+            [wire.cross_section_area for wire in topology.wires]
+        )
+        self._wire_segments = np.array(
+            [wire.num_segments for wire in topology.wires], dtype=int
+        )
+        #: ``(1, W)`` lengths row of the per-sample fast step.
+        self._wire_lengths = np.array(
+            [[wire.length for wire in topology.wires]]
+        )
 
         self._linear_el = LinearSolver()
         self._linear_th = LinearSolver()
@@ -213,6 +233,7 @@ class CoupledSolver:
         ]
         self.topology.wires = new_wires
         self.problem.wires = new_wires
+        self._wire_lengths = np.array([[wire.length for wire in new_wires]])
         if self.topology.num_extra_nodes:
             self.capacitance[self.n_grid:] = (
                 self.topology.extra_heat_capacities()
@@ -424,46 +445,33 @@ class CoupledSolver:
         phi = self._expand_electrical(self._linear_el.solve(a_ff, rhs))
         return phi, cell_t, lambda_diag, g_el
 
-    def _solve_electrical_fast(self, t_star):
-        g_el = self.topology.segment_electrical_conductances(t_star)
-        phi_free = self._fast_el.solve(
-            g_el, self._fast_el_rhs * self._el_scale
-        )
-        return self._expand_electrical(phi_free), g_el
-
-    def _joule_sources(self, phi, t_star, cell_t=None, fast=False):
-        """Field + wire Joule node powers at the iterate."""
+    def _joule_sources(self, phi, t_star, cell_t):
+        """Field + wire Joule node powers at the iterate (full mode)."""
         grid_phi = phi[: self.n_grid]
-        if fast:
-            ex, ey, ez = self.discretization.cell_field_components(grid_phi)
-            density = self._fast_sigma_cells * (ex * ex + ey * ey + ez * ez)
-        else:
-            density = joule_cell_power_density(
-                self.discretization, grid_phi, cell_t
-            )
+        density = joule_cell_power_density(
+            self.discretization, grid_phi, cell_t
+        )
         q = np.zeros(self.total_size)
         q[: self.n_grid] = self.discretization.node_power_from_cells(density)
         field_power = float(np.dot(density, self.discretization.cell_volumes))
         q_wire, wire_powers = self.topology.joule_powers(phi, t_star)
         return q + q_wire, wire_powers, field_power
 
-    def _radiation_rhs_explicit(self, t_star):
-        """Radiative source evaluated at the iterate (fast mode)."""
-        if self.problem.radiation is None:
-            return 0.0
-        return self.rad_coeff * (self.t_ambient_rad**4 - t_star**4)
+    def _full_advance(self, cache, t_old=None, dt=None):
+        """The full-mode fixed-point map ``T* -> T``.
 
-    # ------------------------------------------------------------------
-    # Time stepping
-    # ------------------------------------------------------------------
-    def _step_full(self, t_old, dt, guess=None):
-        """One implicit Euler step in full mode; returns (T_new, diag)."""
-        cache = {}
+        Reassembles both operators at the iterate and solves the thermal
+        system; with ``dt`` it is one implicit Euler step from ``t_old``
+        (adds the ``C/dt`` mass term and ``C/dt * t_old``), without it
+        the steady state.  The outputs of the latest call land in
+        ``cache``.
+        """
+        problem = self.problem
 
         def advance(t_star):
             phi, cell_t, lambda_diag, _ = self._solve_electrical_full(t_star)
             q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, cell_t=cell_t
+                phi, t_star, cell_t
             )
             k_th = embed_grid_matrix(
                 self.discretization.stiffness_from_diagonal(lambda_diag),
@@ -473,19 +481,21 @@ class CoupledSolver:
             k_th = k_th + self._wire_stamp_matrix(g_th)
             diagonal = self.conv_diag.copy()
             rhs_bc = self.conv_rhs.copy()
-            if self.problem.radiation is not None:
-                rad_diag, rad_rhs = self.problem.radiation.linearized_contributions(
+            if problem.radiation is not None:
+                rad_diag, rad_rhs = problem.radiation.linearized_contributions(
                     self.discretization.dual, t_star[: self.n_grid]
                 )
                 diagonal[: self.n_grid] += rad_diag
                 rhs_bc[: self.n_grid] += rad_rhs
-            matrix = (
-                sp.diags(self.capacitance / dt) + k_th + sp.diags(diagonal)
-            ).tocsr()
-            rhs = self.capacitance / dt * t_old + q + rhs_bc
-            if self.problem.thermal_dirichlet:
+            rhs = q
+            if dt is not None:
+                k_th = sp.diags(self.capacitance / dt) + k_th
+                rhs = self.capacitance / dt * t_old + q
+            matrix = (k_th + sp.diags(diagonal)).tocsr()
+            rhs = rhs + rhs_bc
+            if problem.thermal_dirichlet:
                 reduced = apply_dirichlet(
-                    matrix, rhs, self.problem.thermal_dirichlet
+                    matrix, rhs, problem.thermal_dirichlet
                 )
                 t_new = reduced.expand(
                     self._linear_th.solve(reduced.matrix, reduced.rhs)
@@ -497,8 +507,70 @@ class CoupledSolver:
             cache["field_power"] = field_power
             return t_new
 
+        return advance
+
+    def _segment_conductances_block(self, seg_t, lengths, electrical):
+        """``(k, S)`` per-segment conductances at the iterate block.
+
+        Matches the scalar ``LumpedBondWire.segment_*_conductance``
+        operation order exactly (``sigma * A / L * n_seg``), vectorized
+        over the sample axis per wire -- the property models are plain
+        ufunc arithmetic, so array evaluation is bitwise identical to
+        the per-sample scalar calls.
+        """
+        conductances = np.empty_like(seg_t)
+        for segment in range(self._seg_start.size):
+            wire = int(self._seg_wire[segment])
+            material = self._wire_materials[wire]
+            conductivity = (
+                material.electrical_conductivity(seg_t[segment])
+                if electrical
+                else material.thermal_conductivity(seg_t[segment])
+            )
+            conductances[segment] = (
+                conductivity * self._wire_areas[wire] / lengths[:, wire]
+                * self._wire_segments[wire]
+            )
+        return conductances
+
+    def _joule_block(self, phi, g_el):
+        """Field + wire Joule node powers for a fast-mode block.
+
+        ``phi`` is ``(n, S)``, ``g_el`` ``(k, S)``; returns the node
+        power block ``(n, S)``, per-wire powers ``(W, S)`` and the field
+        dissipation ``(S,)``.  The field conductivity is the frozen one.
+        """
+        disc = self.discretization
+        n_grid = self.n_grid
+        ex, ey, ez = disc.cell_field_components(phi[:n_grid])
+        density = self._fast_sigma_cells[:, None] * (
+            ex * ex + ey * ey + ez * ez
+        )
+        q = np.zeros((self.total_size, phi.shape[1]))
+        q[:n_grid] = disc.node_power_from_cells(density)
+        # Column-wise dots (not one gemv) keep every column's reduction
+        # order independent of the block width.
+        field_power = np.array([
+            np.dot(np.ascontiguousarray(density[:, s]), disc.cell_volumes)
+            for s in range(phi.shape[1])
+        ])
+        drop = phi[self._seg_start] - phi[self._seg_end]
+        power = g_el * drop * drop
+        q_wire = np.zeros_like(q)
+        np.add.at(q_wire, self._seg_start, 0.5 * power)
+        np.add.at(q_wire, self._seg_end, 0.5 * power)
+        wire_power = np.zeros((len(self.topology.wires), phi.shape[1]))
+        np.add.at(wire_power, self._seg_wire, power)
+        return q + q_wire, wire_power, field_power
+
+    # ------------------------------------------------------------------
+    # Time stepping
+    # ------------------------------------------------------------------
+    def _step_full(self, t_old, dt, guess=None):
+        """One implicit Euler step in full mode; returns (T_new, diag)."""
+        cache = {}
         result = fixed_point(
-            advance,
+            self._full_advance(cache, t_old, dt),
             t_old if guess is None else guess,
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
@@ -507,40 +579,118 @@ class CoupledSolver:
         self.metrics.increment("coupled_steps")
         telemetry.increment("solver.coupled_steps")
         return result.solution, result.iterations, cache
+
+    def _step_block(self, t_old, lengths, dt, scale, guess=None):
+        """One fast-mode implicit Euler step for an ``(n, S)`` block.
+
+        The only fast-mode step: column ``s`` advances sample ``s``
+        with wire lengths ``lengths[s]`` (``(S, W)``) under the drive
+        scale ``scale``, starting the fixed point from ``guess`` (an
+        ``(n, S)`` warm start) or from ``t_old``.  The per-sample fixed
+        point (``x <- x + w (advance(x) - x)``, max-norm residual,
+        strict ``< tolerance``) runs with an active-sample mask: every
+        iteration only evaluates the columns still above tolerance, and
+        a sample's outputs (``phi``, wire powers, field power) are
+        frozen at its converging iteration -- the same "cache from the
+        last advance call" contract as
+        :func:`~repro.solvers.newton.fixed_point`.
+
+        Returns ``(T_new, iterations, phi, wire_powers, field_power)``
+        with shapes ``(n, S)``, ``(S,)``, ``(n, S)``, ``(W, S)`` and
+        ``(S,)``.
+        """
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(
+                f"damping must be in (0, 1], got {self.damping!r}"
+            )
+        thermal = self._fast_thermal_solver(dt)
+        rhs_el = self._fast_el_rhs * scale
+        fixed_phi = self.el_fixed_values * scale
+        capacitance_dt = self.capacitance / dt
+        num_samples = t_old.shape[1]
+        current = np.array(t_old if guess is None else guess, dtype=float)
+        active = np.arange(num_samples)
+        iterations = np.zeros(num_samples, dtype=int)
+        phi_out = np.zeros((self.total_size, num_samples))
+        wire_power_out = np.zeros((len(self.topology.wires), num_samples))
+        field_power_out = np.zeros(num_samples)
+        residual = np.zeros(num_samples)
+        for iteration in range(1, self.max_iterations + 1):
+            t_star = current[:, active]
+            active_lengths = lengths[active]
+            seg_t = 0.5 * (
+                t_star[self._seg_start] + t_star[self._seg_end]
+            )
+            g_el = self._segment_conductances_block(
+                seg_t, active_lengths, electrical=True
+            )
+            phi_free = self._fast_el.solve_batch(g_el.T, rhs_el)
+            phi = np.empty((self.total_size, active.size))
+            phi[self.el_free] = phi_free
+            phi[self.el_fixed] = fixed_phi[:, None]
+            q, wire_power, field_power = self._joule_block(phi, g_el)
+            g_th = self._segment_conductances_block(
+                seg_t, active_lengths, electrical=False
+            )
+            rhs = (
+                capacitance_dt[:, None] * t_old[:, active]
+                + q
+                + self.conv_rhs[:, None]
+            )
+            if self.problem.radiation is not None:
+                # Explicit radiative source at the iterate; the
+                # nonlinearity converges through the fixed point.
+                rhs = rhs + self.rad_coeff[:, None] * (
+                    self.t_ambient_rad**4 - t_star**4
+                )
+            t_new = thermal.solve_batch(g_th.T, rhs)
+            damped = self.damping * (t_new - t_star)
+            current[:, active] = t_star + damped
+            step_norm = np.max(np.abs(damped), axis=0)
+            # Outputs track the latest advance of every active sample;
+            # once a sample converges it leaves ``active`` and its last
+            # written values stand.
+            phi_out[:, active] = phi
+            wire_power_out[:, active] = wire_power
+            field_power_out[active] = field_power
+            residual[active] = step_norm
+            converged = step_norm < self.tolerance
+            iterations[active[converged]] = iteration
+            active = active[~converged]
+            if not active.size:
+                break
+        if active.size:
+            worst = float(np.max(residual[active]))
+            raise ConvergenceError(
+                f"fixed-point iteration did not converge within "
+                f"{self.max_iterations} iterations for "
+                f"{active.size}/{num_samples} blocked samples "
+                f"(worst step norm {worst:.3e}, tol "
+                f"{self.tolerance:.3e})",
+                iterations=self.max_iterations,
+                residual=worst,
+            )
+        self.metrics.increment("coupled_steps", num_samples)
+        telemetry.increment("solver.coupled_steps", num_samples)
+        return current, iterations, phi_out, wire_power_out, field_power_out
 
     def _step_fast(self, t_old, dt, guess=None):
-        """One implicit Euler step in fast (Woodbury) mode."""
-        thermal = self._fast_thermal_solver(dt)
-        cache = {}
+        """One implicit Euler step in fast mode.
 
-        def advance(t_star):
-            phi, _ = self._solve_electrical_fast(t_star)
-            q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, fast=True
-            )
-            g_th = self.topology.segment_thermal_conductances(t_star)
-            rhs = (
-                self.capacitance / dt * t_old
-                + q
-                + self.conv_rhs
-                + self._radiation_rhs_explicit(t_star)
-            )
-            t_new = thermal.solve(g_th, rhs)
-            cache["phi"] = phi
-            cache["wire_powers"] = wire_powers
-            cache["field_power"] = field_power
-            return t_new
-
-        result = fixed_point(
-            advance,
-            t_old if guess is None else guess,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            damping=self.damping,
+        Returns ``(T_new, iterations, cache)`` like :meth:`_step_full`:
+        the ``S = 1`` view of :meth:`_step_block`, with the wire lengths
+        bound by :meth:`set_wire_lengths`.
+        """
+        state, iterations, phi, wire_power, field_power = self._step_block(
+            t_old[:, None], self._wire_lengths, dt, self._el_scale,
+            guess=None if guess is None else guess[:, None],
         )
-        self.metrics.increment("coupled_steps")
-        telemetry.increment("solver.coupled_steps")
-        return result.solution, result.iterations, cache
+        cache = {
+            "phi": phi[:, 0],
+            "wire_powers": wire_power[:, 0],
+            "field_power": float(field_power[0]),
+        }
+        return state[:, 0], int(iterations[0]), cache
 
     def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
         """One implicit Euler step of the coupled system; the new state.
@@ -655,42 +805,8 @@ class CoupledSolver:
             )
         t_old = problem.initial_temperatures()
         cache = {}
-
-        def advance(t_star):
-            phi, cell_t, lambda_diag, _ = self._solve_electrical_full(t_star)
-            q, wire_powers, field_power = self._joule_sources(
-                phi, t_star, cell_t=cell_t
-            )
-            k_th = embed_grid_matrix(
-                self.discretization.stiffness_from_diagonal(lambda_diag),
-                self.total_size,
-            )
-            g_th = self.topology.segment_thermal_conductances(t_star)
-            k_th = k_th + self._wire_stamp_matrix(g_th)
-            diagonal = self.conv_diag.copy()
-            rhs_bc = self.conv_rhs.copy()
-            if problem.radiation is not None:
-                rad_diag, rad_rhs = problem.radiation.linearized_contributions(
-                    self.discretization.dual, t_star[: self.n_grid]
-                )
-                diagonal[: self.n_grid] += rad_diag
-                rhs_bc[: self.n_grid] += rad_rhs
-            matrix = (k_th + sp.diags(diagonal)).tocsr()
-            rhs = q + rhs_bc
-            if problem.thermal_dirichlet:
-                reduced = apply_dirichlet(matrix, rhs, problem.thermal_dirichlet)
-                t_new = reduced.expand(
-                    self._linear_th.solve(reduced.matrix, reduced.rhs)
-                )
-            else:
-                t_new = self._linear_th.solve(matrix.tocsc(), rhs)
-            cache["phi"] = phi
-            cache["wire_powers"] = wire_powers
-            cache["field_power"] = field_power
-            return t_new
-
         result = fixed_point(
-            advance,
+            self._full_advance(cache),
             t_old,
             tolerance=self.tolerance,
             max_iterations=max_iterations,
@@ -776,9 +892,11 @@ class BlockedCoupledSolver:
       need a per-sample thermal base (callers fall back to the
       per-sample loop for those).
 
-    Only the 12 wire conductances differ between samples, so the block
-    shares every factorization with the per-sample path -- including the
-    per-``dt`` thermal solver map of the wrapped solver.
+    The step itself is the wrapped solver's fast-mode kernel -- the
+    same one its per-sample path runs as the ``S = 1`` view -- so the
+    block shares every factorization with the per-sample path,
+    including the per-``dt`` thermal solver map, and both run on the
+    solver's array backend.
     """
 
     def __init__(self, solver):
@@ -798,22 +916,7 @@ class BlockedCoupledSolver:
                 "per-sample lengths); use the per-sample path"
             )
         self.solver = solver
-        topology = solver.topology
-        self.num_wires = len(topology.wires)
-        starts, ends, wires = topology.segment_node_indices()
-        self._seg_start = starts
-        self._seg_end = ends
-        self._seg_wire = wires
-        self._ep_start, self._ep_end = topology.endpoint_node_indices()
-        # Length-invariant wire data (material, cross section, segment
-        # count); only the lengths vary per sample.
-        self._materials = [wire.material for wire in topology.wires]
-        self._areas = np.array(
-            [wire.cross_section_area for wire in topology.wires]
-        )
-        self._num_segments = np.array(
-            [wire.num_segments for wire in topology.wires], dtype=int
-        )
+        self.num_wires = len(solver.topology.wires)
         self._lengths = None
 
     # ------------------------------------------------------------------
@@ -837,155 +940,8 @@ class BlockedCoupledSolver:
         self._lengths = lengths
 
     # ------------------------------------------------------------------
-    # Blocked physics evaluation
-    # ------------------------------------------------------------------
-    def _segment_conductances_block(self, seg_t, lengths, electrical):
-        """``(k, S)`` per-segment conductances at the iterate block.
-
-        Matches the scalar ``LumpedBondWire.segment_*_conductance``
-        operation order exactly (``sigma * A / L * n_seg``), vectorized
-        over the sample axis per wire -- the property models are plain
-        ufunc arithmetic, so array evaluation is bitwise identical to
-        the per-sample scalar calls.
-        """
-        conductances = np.empty_like(seg_t)
-        for segment in range(self._seg_start.size):
-            wire = int(self._seg_wire[segment])
-            material = self._materials[wire]
-            conductivity = (
-                material.electrical_conductivity(seg_t[segment])
-                if electrical
-                else material.thermal_conductivity(seg_t[segment])
-            )
-            conductances[segment] = (
-                conductivity * self._areas[wire] / lengths[:, wire]
-                * self._num_segments[wire]
-            )
-        return conductances
-
-    def _joule_block(self, phi, g_el):
-        """Field + wire Joule node powers for the whole block.
-
-        ``phi`` is ``(n, S)``, ``g_el`` ``(k, S)``; returns the node
-        power block ``(n, S)``, per-wire powers ``(W, S)`` and the field
-        dissipation ``(S,)``.
-        """
-        solver = self.solver
-        disc = solver.discretization
-        n_grid = solver.n_grid
-        ex, ey, ez = disc.cell_field_components(phi[:n_grid])
-        density = solver._fast_sigma_cells[:, None] * (
-            ex * ex + ey * ey + ez * ez
-        )
-        q = np.zeros((solver.total_size, phi.shape[1]))
-        q[:n_grid] = disc.node_power_from_cells(density)
-        # Column-wise dots (not one gemv) keep the reduction order of
-        # the per-sample ``np.dot(density, cell_volumes)`` bitwise.
-        field_power = np.array([
-            np.dot(np.ascontiguousarray(density[:, s]), disc.cell_volumes)
-            for s in range(phi.shape[1])
-        ])
-        drop = phi[self._seg_start] - phi[self._seg_end]
-        power = g_el * drop * drop
-        q_wire = np.zeros_like(q)
-        np.add.at(q_wire, self._seg_start, 0.5 * power)
-        np.add.at(q_wire, self._seg_end, 0.5 * power)
-        wire_power = np.zeros((self.num_wires, phi.shape[1]))
-        np.add.at(wire_power, self._seg_wire, power)
-        return q + q_wire, wire_power, field_power
-
-    def _radiation_block(self, t_star):
-        """Explicit radiative source for the iterate block (or 0.0)."""
-        solver = self.solver
-        if solver.problem.radiation is None:
-            return 0.0
-        return solver.rad_coeff[:, None] * (
-            solver.t_ambient_rad**4 - t_star**4
-        )
-
-    # ------------------------------------------------------------------
     # Time stepping
     # ------------------------------------------------------------------
-    def _step_block(self, t_old, dt, scale):
-        """One implicit Euler step for the whole ``(n, S)`` block.
-
-        The per-sample fixed point (``x <- x + w (advance(x) - x)``,
-        max-norm residual, strict ``< tolerance``) runs with an
-        active-sample mask: every iteration only evaluates the columns
-        still above tolerance, and a sample's outputs (``phi``, wire
-        powers, field power) are frozen at its converging iteration --
-        the same "cache from the last advance call" contract as
-        :func:`~repro.solvers.newton.fixed_point`.
-        """
-        solver = self.solver
-        thermal = solver._fast_thermal_solver(dt)
-        rhs_el = solver._fast_el_rhs * scale
-        fixed_phi = solver.el_fixed_values * scale
-        capacitance_dt = solver.capacitance / dt
-        num_samples = t_old.shape[1]
-        current = t_old.copy()
-        active = np.arange(num_samples)
-        iterations = np.zeros(num_samples, dtype=int)
-        phi_out = np.zeros((solver.total_size, num_samples))
-        wire_power_out = np.zeros((self.num_wires, num_samples))
-        field_power_out = np.zeros(num_samples)
-        residual = np.zeros(num_samples)
-        for iteration in range(1, solver.max_iterations + 1):
-            t_star = current[:, active]
-            lengths = self._lengths[active]
-            seg_t = 0.5 * (
-                t_star[self._seg_start] + t_star[self._seg_end]
-            )
-            g_el = self._segment_conductances_block(
-                seg_t, lengths, electrical=True
-            )
-            phi_free = solver._fast_el.solve_batch(g_el.T, rhs_el)
-            phi = np.empty((solver.total_size, active.size))
-            phi[solver.el_free] = phi_free
-            phi[solver.el_fixed] = fixed_phi[:, None]
-            q, wire_power, field_power = self._joule_block(phi, g_el)
-            g_th = self._segment_conductances_block(
-                seg_t, lengths, electrical=False
-            )
-            rhs = (
-                capacitance_dt[:, None] * t_old[:, active]
-                + q
-                + solver.conv_rhs[:, None]
-                + self._radiation_block(t_star)
-            )
-            t_new = thermal.solve_batch(g_th.T, rhs)
-            damped = solver.damping * (t_new - t_star)
-            current[:, active] = t_star + damped
-            step_norm = np.max(np.abs(damped), axis=0)
-            # Outputs track the latest advance of every active sample;
-            # once a sample converges it leaves ``active`` and its last
-            # written values stand.
-            phi_out[:, active] = phi
-            wire_power_out[:, active] = wire_power
-            field_power_out[active] = field_power
-            residual[active] = step_norm
-            converged = step_norm < solver.tolerance
-            iterations[active[converged]] = iteration
-            active = active[~converged]
-            if not active.size:
-                break
-        if active.size:
-            worst = float(np.max(residual[active]))
-            raise ConvergenceError(
-                f"fixed-point iteration did not converge within "
-                f"{solver.max_iterations} iterations for "
-                f"{active.size}/{num_samples} blocked samples "
-                f"(worst step norm {worst:.3e}, tol "
-                f"{solver.tolerance:.3e})",
-                iterations=solver.max_iterations,
-                residual=worst,
-            )
-        solver.metrics.increment("coupled_steps", num_samples)
-        telemetry.increment("solver.coupled_steps", num_samples)
-        solver.metrics.increment("blocked_steps")
-        telemetry.increment("solver.blocked_steps")
-        return current, iterations, phi_out, wire_power_out, field_power_out
-
     def solve_transient_block(self, time_grid, waveform=None):
         """Integrate all bound samples over a :class:`TimeGrid` at once.
 
@@ -1015,7 +971,7 @@ class BlockedCoupledSolver:
         temperatures = np.full(
             (solver.total_size, num_samples), solver.problem.t_initial
         )
-        ep_start, ep_end = self._ep_start, self._ep_end
+        ep_start, ep_end = solver._ep_start, solver._ep_end
 
         def endpoint_mean(block):
             return 0.5 * (block[ep_start] + block[ep_end])
@@ -1035,7 +991,11 @@ class BlockedCoupledSolver:
         for step_index in range(time_grid.num_steps):
             scale = float(drive(times[step_index + 1]))
             (temperatures, n_iter, _, wire_power,
-             field_power) = self._step_block(temperatures, dt, scale)
+             field_power) = solver._step_block(
+                temperatures, self._lengths, dt, scale
+            )
+            solver.metrics.increment("blocked_steps")
+            telemetry.increment("solver.blocked_steps")
             iterations.append(n_iter)
             wire_t.append(endpoint_mean(temperatures))
             wire_peak.append(endpoint_peak(temperatures))

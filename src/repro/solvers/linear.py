@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ..errors import SolverError
+from .cache import matrix_fingerprint
 
 
 def solve_sparse(matrix, rhs):
@@ -26,43 +27,20 @@ def solve_sparse(matrix, rhs):
     return solution
 
 
-def _matrix_fingerprint(matrix):
-    """Cheap change-detection fingerprint of a CSC matrix's values."""
-    data = matrix.data
-    if data.size == 0:
-        return (0, 0.0, 0.0)
-    return (data.size, float(data.sum()), float(np.abs(data).sum()))
-
-
 class LinearSolver:
     """LU-backed solver that reuses factorizations across calls.
 
     ``solve(matrix, rhs)`` refactorizes only when the matrix changed since
-    the previous call (detected by a value fingerprint, with an optional
-    exact comparison for paranoid callers).
+    the previous call, detected by
+    :func:`~repro.solvers.cache.matrix_fingerprint` (structure and
+    values).
     """
 
-    def __init__(self, exact_change_detection=False):
-        self.exact_change_detection = exact_change_detection
+    def __init__(self):
         self._lu = None
         self._fingerprint = None
-        self._matrix_data = None
         self.factorization_count = 0
         self.solve_count = 0
-
-    def _needs_refactorization(self, matrix):
-        if self._lu is None:
-            return True
-        fingerprint = _matrix_fingerprint(matrix)
-        if fingerprint != self._fingerprint:
-            return True
-        if self.exact_change_detection:
-            if self._matrix_data is None:
-                return True
-            if self._matrix_data.size != matrix.data.size:
-                return True
-            return not np.array_equal(self._matrix_data, matrix.data)
-        return False
 
     def solve(self, matrix, rhs):
         """Solve ``matrix @ x = rhs``, reusing the cached LU if possible."""
@@ -73,14 +51,13 @@ class LinearSolver:
                 f"rhs size {rhs.size} does not match matrix "
                 f"{matrix.shape[0]}x{matrix.shape[1]}"
             )
-        if self._needs_refactorization(matrix):
+        fingerprint = matrix_fingerprint(matrix)
+        if self._lu is None or fingerprint != self._fingerprint:
             try:
                 self._lu = spla.splu(matrix)
             except RuntimeError as exc:
                 raise SolverError(f"LU factorization failed: {exc}") from exc
-            self._fingerprint = _matrix_fingerprint(matrix)
-            if self.exact_change_detection:
-                self._matrix_data = matrix.data.copy()
+            self._fingerprint = fingerprint
             self.factorization_count += 1
         solution = self._lu.solve(rhs)
         self.solve_count += 1
@@ -92,7 +69,6 @@ class LinearSolver:
         """Drop the cached factorization (e.g. after a mesh change)."""
         self._lu = None
         self._fingerprint = None
-        self._matrix_data = None
 
 
 def conjugate_gradient(matrix, rhs, x0=None, tolerance=1.0e-10, max_iterations=None):

@@ -10,10 +10,11 @@ engine's determinism guarantees (serial == process, kill/resume) stay
 bit-identical with blocking on.
 
 Golden-vs-blocked assertions are tier-aware: under a device backend
-(``REPRO_ARRAY_BACKEND=devicesim`` in CI) the per-sample golden stays
-on the host path while the blocked campaign takes the gemm-ordered
-device path, so those comparisons relax to the backend's declared
-``rtol`` tier. Same-backend determinism stays bitwise on every tier.
+(``REPRO_ARRAY_BACKEND=devicesim`` in CI) the per-sample golden is
+built on the ``numpy`` backend explicitly while the blocked campaign
+takes the gemm-ordered device path, so those comparisons relax to the
+backend's declared ``rtol`` tier. Same-backend determinism stays
+bitwise on every tier.
 """
 
 import numpy as np
@@ -81,7 +82,9 @@ def golden():
     from repro.uq.sampling import map_to_distributions
 
     deltas = map_to_distributions(parameters, spec.build_distribution())
-    study = Date16UncertaintyStudy(tolerance=1e-3, **_TINY)
+    study = Date16UncertaintyStudy(
+        tolerance=1e-3, array_backend="numpy", **_TINY
+    )
     outputs = np.stack(
         [study.evaluate_traces(row)[-1] for row in deltas]
     )

@@ -17,15 +17,14 @@ Date16 study each:
 Cold = first evaluation against an empty factorization cache; warm = a
 second evaluation of the same study (base LUs cached, pure hot-loop
 cost).  The acceptance gate asserts the blocked path >= 2x the loop's
-warm wall-clock, and that the blocked traces match the loop to the
-multi-RHS reorder floor (rtol 1e-12).
+warm wall-clock, and that the blocked traces match the loop to
+``RTOL``.
 
 ``--backend <name>`` runs the blocked configuration on a registered
 array backend (``numpy``, ``devicesim``, ``cupy``) while the per-sample
-loop stays on the host reference; the equivalence gate then relaxes to
-the backend's declared tier, and the ``BENCH_batched_solves.json``
-artifact records the backend name plus its cold/warm device-transfer
-counts.
+loop stays on the host reference; the gate is the same ``RTOL`` on
+every backend, and the ``BENCH_batched_solves.json`` artifact records
+the backend name plus its cold/warm device-transfer counts.
 
 Run standalone (``--smoke`` shrinks mesh and horizon for CI)::
 
@@ -48,6 +47,11 @@ import numpy as np
 
 #: Deterministic seed for the elongation chunk (matches campaign LHS).
 _SEED = 0
+
+#: Blocked vs per-sample traces: the two differ only in the summation
+#: order of the batched products (the Woodbury update is well
+#: conditioned on every backend).
+RTOL = 1.0e-12
 
 
 def _build_study(resolution, parameters, backend=None):
@@ -172,17 +176,13 @@ def run_comparison(resolution="coarse", parameters=None, num_samples=64,
     )
     print("\n" + table, file=out)
 
-    # Equivalence gate: the blocked chunk reproduces the loop to the
-    # multi-RHS backsolve's reorder floor on the bitwise tier, and to
-    # the backend's declared rtol tier on a device backend.
+    # Equivalence gate: the blocked chunk reproduces the loop to RTOL.
     blocked = results["blocked"]
-    tier = backend.equivalence
-    floor = max(1.0e-12, tier.rtol)
     scale = float(np.max(np.abs(loop["traces"])))
     deviation = float(np.max(np.abs(blocked["traces"] - loop["traces"])))
-    assert deviation <= floor * scale, (
+    assert deviation <= RTOL * scale, (
         f"blocked traces deviate {deviation:.3e} K from the per-sample "
-        f"loop (allowed {floor * scale:.3e} on the '{tier.kind}' tier)"
+        f"loop (allowed {RTOL * scale:.3e})"
     )
     if min_speedup is not None:
         speedup = loop["warm"] / blocked["warm"]

@@ -1,9 +1,8 @@
 """``devicesim``: a CPU test double that enforces device semantics.
 
 CI has no GPU, but the seams a GPU backend must honor -- a separate
-memory space, explicit accounted transfers, gemm-ordered corrections
-with a relaxed equivalence tier -- are all checkable on a CPU.  This
-backend simulates a device with three rules:
+memory space and explicit accounted transfers -- are both checkable on
+a CPU.  This backend simulates a device with two rules:
 
 * **Separate memory space.**  Device data lives in :class:`DeviceArray`
   wrappers.  Mixing one with a host ndarray in ``@`` or ``-`` raises
@@ -16,19 +15,15 @@ backend simulates a device with three rules:
   both the backend's ``transfer_count`` and the
   ``solver.device_transfers`` telemetry counter.  "Zero unaccounted
   transfers" is then a checkable equality between the two.
-* **Device cost model.**  ``correction_mode = "gemm"``: the rank-k
-  corrections are one BLAS-3 product, not per-column gemvs, which is
-  why the declared equivalence tier is ``rtol`` (1e-6) rather than
-  bitwise -- the gemm summation reorder is amplified by the Woodbury
-  cancellation (DESIGN.md "Array backends").  The measured agreement on
-  the paper's systems is far tighter; the declared tier is the
-  *contract*, not the typical error.
+
+The arithmetic inside the simulated device is numpy's, in the same
+order as the ``numpy`` backend, so results are bitwise equal to it.
 """
 
 import numpy as np
 
 from ..errors import SolverError
-from .base import ArrayBackend, EquivalenceTier, FactorizationHandle
+from .base import ArrayBackend, FactorizationHandle
 from .registry import register_array_backend
 
 
@@ -120,8 +115,6 @@ class DeviceSimBackend(ArrayBackend):
     """The device-semantics test double (see the module docstring)."""
 
     name = "devicesim"
-    equivalence = EquivalenceTier("rtol", 1e-6)
-    correction_mode = "gemm"
 
     def to_device(self, array):
         self._count_transfer()
@@ -139,26 +132,17 @@ class DeviceSimBackend(ArrayBackend):
             checked_splu(base_matrix, symmetric=symmetric)
         )
 
-    def batched_core_solve(self, cores, rhs):
-        # The (S, k, k) cores are assembled on the host (cheap, data-
-        # dependent) and uploaded here -- a counted transfer, exactly
-        # like the cores upload a CuPy backend pays.
-        cores_device = self.to_device(cores)
-        rhs_data = _unwrap(rhs, "batched_core_solve")
+    def batched_core_solve(self, cores, scale, rhs):
+        # The (S, k, k) cores and (S, k) scales are assembled on the
+        # host (cheap, data-dependent) and uploaded here in one packed
+        # (S, k, k + 1) array -- one counted transfer, exactly like the
+        # upload a CuPy backend pays.
+        packed = self.to_device(np.concatenate(
+            [cores, scale[:, :, None]], axis=2
+        ))._data
+        scaled = packed[:, :, -1] * _unwrap(rhs, "batched_core_solve")
         return DeviceArray(
-            np.linalg.solve(cores_device._data, rhs_data[..., None])[..., 0]
-        )
-
-    def broadcast_columns(self, vector, num_columns):
-        data = _unwrap(vector, "broadcast_columns")
-        return DeviceArray(
-            np.broadcast_to(data[:, None], (data.shape[0], num_columns))
-        )
-
-    def broadcast_rows(self, vector, num_rows):
-        data = _unwrap(vector, "broadcast_rows")
-        return DeviceArray(
-            np.broadcast_to(data, (num_rows, data.shape[0]))
+            np.linalg.solve(packed[:, :, :-1], scaled[..., None])
         )
 
 

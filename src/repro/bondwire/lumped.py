@@ -63,10 +63,14 @@ class LumpedBondWire:
             )
         diameter = float(diameter)
         length = float(length)
-        if diameter <= 0.0:
-            raise BondWireError(f"diameter must be positive, got {diameter!r}")
-        if length <= 0.0:
-            raise BondWireError(f"length must be positive, got {length!r}")
+        if not 0.0 < diameter < np.inf:
+            raise BondWireError(
+                f"diameter must be positive and finite, got {diameter!r}"
+            )
+        if not 0.0 < length < np.inf:
+            raise BondWireError(
+                f"length must be positive and finite, got {length!r}"
+            )
         num_segments = int(num_segments)
         if num_segments < 1:
             raise BondWireError(

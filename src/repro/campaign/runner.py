@@ -812,9 +812,8 @@ def resume_campaign(store, executor=None, progress=None, reducer=None,
 
     ``array_backend`` may re-state the backend the store was produced
     under (a no-op); naming a *different* one is refused by the store's
-    spec-identity check -- checkpointed chunks carry the numerical
-    contract of the backend that wrote them, so finishing a campaign on
-    another substrate would silently mix equivalence tiers.
+    spec-identity check -- the backend is part of the pinned scenario,
+    so every chunk of one store comes from one substrate.
     """
     if not isinstance(store, ArtifactStore):
         store = ArtifactStore(store)

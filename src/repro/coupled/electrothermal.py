@@ -307,26 +307,28 @@ class CoupledSolver:
             self.discretization.stiffness_from_diagonal(sigma_diag),
             self.total_size,
         )
-        if self.topology.num_extra_nodes:
-            # The wire-free base matrix has zero rows at the internal wire
-            # nodes (their only coupling is through the stamps handled by
-            # the Woodbury update).  A shunt ~10 orders of magnitude below
-            # the segment conductances keeps the base factorizable while
-            # perturbing the solution far below the solver tolerance.
-            shunt = np.zeros(self.total_size)
-            scale = float(np.max(k_el.diagonal())) if k_el.nnz else 1.0
-            shunt[self.n_grid:] = 1.0e-12 * scale
-            k_el = k_el + sp.diags(shunt)
         a_el, rhs_el = self._reduce_electrical(k_el)
         u_full = self.topology.segment_incidence_matrix()
         u_el = u_full[self.el_free]
-        # Both fast-path bases are symmetric positive definite (FIT
-        # stiffness + positive diagonals, Dirichlet-reduced), so the
-        # cheaper symmetric factorization mode applies.
-        self._fast_el = WoodburySolver(a_el, u_el,
-                                       cache=self.factorization_cache,
-                                       symmetric=True,
-                                       backend=self.array_backend)
+        # Both Woodbury operators are expanded around the wire
+        # conductances at the initial temperature and the construction
+        # lengths: the samples scatter around them, which keeps every
+        # update small and well conditioned, and they connect the
+        # internal wire nodes of multi-segment wires.  Both bases are
+        # symmetric positive definite (FIT stiffness + positive
+        # diagonals + stamps, Dirichlet-reduced), so the cheaper
+        # symmetric factorization mode applies.
+        uniform = np.full(self.total_size, problem.t_initial)
+        self._fast_el = WoodburySolver(
+            a_el, u_el,
+            self.topology.segment_electrical_conductances(uniform),
+            cache=self.factorization_cache,
+            symmetric=True,
+            backend=self.array_backend,
+        )
+        self._fast_th_nominal = (
+            self.topology.segment_thermal_conductances(uniform)
+        )
         self._fast_el_rhs = rhs_el
 
         k_th = embed_grid_matrix(
@@ -356,7 +358,7 @@ class CoupledSolver:
             + self._fast_k_th
             + sp.diags(self.conv_diag)
         ).tocsc()
-        solver = WoodburySolver(base, self._fast_u,
+        solver = WoodburySolver(base, self._fast_u, self._fast_th_nominal,
                                 cache=self.factorization_cache,
                                 symmetric=True,
                                 backend=self.array_backend)
@@ -935,8 +937,8 @@ class BlockedCoupledSolver:
                 f"expected an (S, {self.num_wires}) length block, got "
                 f"shape {lengths.shape}"
             )
-        if not np.all(lengths > 0.0):
-            raise SolverError("wire lengths must be positive")
+        if not np.all((lengths > 0.0) & np.isfinite(lengths)):
+            raise SolverError("wire lengths must be positive and finite")
         self._lengths = lengths
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ it so that every solver built in that worker shares one pool.
 """
 
 import hashlib
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -92,6 +93,10 @@ class FactorizationCache:
             )
         self.max_entries = max_entries
         self._entries = OrderedDict()
+        # Lookup, factorization and insertion happen under one lock:
+        # service jobs share the cache across threads, and two jobs
+        # building one scenario must factorize once, not both miss.
+        self._lock = threading.Lock()
         #: Hit/miss counters live in a per-cache metrics registry; the
         #: ``hits`` / ``misses`` attributes and ``stats()`` dict below
         #: are thin views over it.
@@ -125,33 +130,24 @@ class FactorizationCache:
 
         backend = get_array_backend(backend)
         key = (matrix_fingerprint(matrix), bool(symmetric), backend.name)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.metrics.increment("hits")
-            telemetry.increment("cache.hits")
-            return self._entries[key]
-        self.metrics.increment("misses")
-        telemetry.increment("cache.misses")
-        handle = backend.factorize(matrix, symmetric=symmetric)
-        self._entries[key] = handle
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return handle
-
-    def splu(self, matrix, symmetric=False):
-        """``scipy.sparse.linalg.splu`` with content-addressed memoization.
-
-        Back-compat accessor over :meth:`factorize` under the ``numpy``
-        backend: returns the raw SuperLU object, with the same identity
-        semantics as before (two calls with the same matrix return the
-        same object).
-        """
-        return self.factorize(matrix, symmetric=symmetric,
-                              backend="numpy").lu
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.metrics.increment("hits")
+                telemetry.increment("cache.hits")
+                return self._entries[key]
+            self.metrics.increment("misses")
+            telemetry.increment("cache.misses")
+            handle = backend.factorize(matrix, symmetric=symmetric)
+            self._entries[key] = handle
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+            return handle
 
     def clear(self):
         """Drop every cached factorization (counters are kept)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def stats(self):
         """``{"entries", "hits", "misses"}`` for diagnostics/benchmarks."""

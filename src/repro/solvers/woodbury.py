@@ -2,16 +2,31 @@
 
 Between Monte Carlo samples only the bonding wire conductances change, and
 each wire stamps a rank-1 update ``g_j p_j p_j^T`` into the system matrix
-(Section III-B of the paper).  With ``A = A_base + U diag(g) U^T`` and a
-factorized ``A_base``, the Woodbury identity
+(Section III-B of the paper).  With ``A = A_base + U diag(g) U^T`` the
+solver factorizes the *nominal* operator ``A_nom = A_base + U diag(g0)
+U^T`` once, at fixed expansion-point conductances ``g0``, and treats each
+sample as the update ``dG = diag(g - g0)`` of it.  In the inverse-free
+form
 
-``A^-1 b = A0^-1 b - A0^-1 U (diag(g)^-1 + U^T A0^-1 U)^-1 U^T A0^-1 b``
+``(I + dG C1) c = dG U^T x_b``,  ``x = x_b - A_nom^-1 U c``
 
-solves each sample with one small dense solve instead of a fresh sparse LU.
-This is the fast path benchmarked by ``bench_ablation_woodbury``.
+with ``C1 = U^T A_nom^-1 U`` and ``x_b = A_nom^-1 b``, every sample costs
+one small dense solve instead of a fresh sparse LU.
+
+Why the nominal expansion point: the textbook form expands around the
+wire-free ``A_base`` with the core ``diag(1/g) + U^T A_base^-1 U``.  On
+the paper's electrical system that core has cond ~ 8e10 (the wire-free
+base barely connects the wire end nodes), and the correction cancels
+``A_base^-1 b`` to ~1e-5 relative accuracy -- the known instability of
+Sherman-Morrison-Woodbury over an ill-conditioned base.  Around ``g0``
+the core ``I + dG C1`` has cond ~ 1 for sampled geometries, no ``1/g``
+appears (zero conductances drop a stamp exactly through
+``dG = -g0``), and the update is accurate to rounding in any summation
+order.  This is the fast path benchmarked by ``bench_ablation_woodbury``.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..backends import get_array_backend
 from ..errors import SolverError
@@ -24,32 +39,36 @@ class WoodburySolver:
     Parameters
     ----------
     base_matrix:
-        Sparse base matrix ``A_base`` (factorized once).
+        Sparse base matrix ``A_base`` without the stamps.
     update_vectors:
         Dense ``(n, k)`` matrix ``U`` whose columns are the stamp vectors
         ``p_j`` (entries +1/-1 at the wire end nodes, after Dirichlet
         reduction).
+    nominal:
+        The ``k`` expansion-point conductances ``g0``: the operator
+        ``A_base + U diag(g0) U^T`` is the one factorized, and every
+        solve is an update of it.  Part of the operator like
+        ``base_matrix`` -- pick the conductances the samples scatter
+        around (the coupled solver uses the construction lengths at the
+        initial temperature).
     cache:
         Optional :class:`~repro.solvers.cache.FactorizationCache`; when
-        given, the base LU is looked up / stored there so structurally
+        given, the nominal LU is looked up / stored there so structurally
         identical solvers built in the same process share one
         factorization (the campaign worker pattern).
     symmetric:
-        Factorize the base in SuperLU's symmetric mode (see
-        :func:`~repro.solvers.cache.checked_splu`); only for bases known
-        to be symmetric positive definite.
+        Factorize in SuperLU's symmetric mode (see
+        :func:`~repro.solvers.cache.checked_splu`); only for operators
+        known to be symmetric positive definite.
     backend:
         :class:`~repro.backends.ArrayBackend` (or registered name)
-        carrying the blocked path's linear algebra: the base
-        factorization/backsolve seam, the batched core solve, and the
-        ``correction_mode`` / ``equivalence`` contract.  ``None``
-        resolves the process default (``numpy`` -- the bitwise CPU
-        reference -- unless ``REPRO_ARRAY_BACKEND`` overrides it).  The
-        scalar :meth:`solve` path stays on the host under every
-        backend; only :meth:`solve_batch` crosses the device boundary.
+        carrying the linear algebra of :meth:`solve_batch`: the
+        factorization/backsolve seam and the batched core solve.
+        ``None`` resolves the process default (``numpy`` unless
+        ``REPRO_ARRAY_BACKEND`` overrides it).
     """
 
-    def __init__(self, base_matrix, update_vectors, cache=None,
+    def __init__(self, base_matrix, update_vectors, nominal, cache=None,
                  symmetric=False, backend=None):
         self.backend = get_array_backend(backend)
         base_matrix = base_matrix.tocsc()
@@ -62,30 +81,43 @@ class WoodburySolver:
                 f"is {base_matrix.shape[0]}x{base_matrix.shape[1]}"
             )
         self.rank = update_vectors.shape[1]
+        nominal = np.asarray(nominal, dtype=float).ravel()
+        if nominal.size != self.rank:
+            raise SolverError(
+                f"expected {self.rank} nominal conductances, got "
+                f"{nominal.size}"
+            )
+        if not np.all(np.isfinite(nominal)) or np.any(nominal < 0.0):
+            raise SolverError(
+                "nominal conductances must be finite and non-negative"
+            )
         self.update_vectors = update_vectors
+        self.nominal = nominal
+        stamps = sp.csc_matrix(update_vectors)
+        nominal_matrix = (
+            base_matrix + stamps @ sp.diags(nominal) @ stamps.T
+        ).tocsc()
         if cache is not None:
             self._handle = cache.factorize(
-                base_matrix, symmetric=symmetric, backend=self.backend
+                nominal_matrix, symmetric=symmetric, backend=self.backend
             )
         else:
             self._handle = self.backend.factorize(
-                base_matrix, symmetric=symmetric
+                nominal_matrix, symmetric=symmetric
             )
-        self._lu = self._handle.lu
-        # Precompute A0^-1 U and the capacitance-free core U^T A0^-1 U.
+        # A_nom^-1 U in one multi-RHS sweep, and the core C1 = U^T A_nom^-1 U.
         # A rank-0 update (no wires) is a valid degenerate case: every
-        # solve is then just the base LU solve.
+        # solve is then just the nominal LU solve.
         if self.rank:
-            # One multi-RHS triangular sweep instead of k single solves.
-            self._base_inverse_u = np.asarray(
-                self._lu.solve(np.ascontiguousarray(update_vectors))
+            self._nominal_inverse_u = np.asarray(
+                self._handle.lu.solve(np.ascontiguousarray(update_vectors))
             )
         else:
-            self._base_inverse_u = np.zeros((base_matrix.shape[0], 0))
-        self._core = update_vectors.T @ self._base_inverse_u
-        # Device mirrors of U and A0^-1 U, uploaded (and transfer-
-        # counted) lazily on the first device-path blocked solve.
-        self._device_ops = None
+            self._nominal_inverse_u = np.zeros((self.size, 0))
+        self._core = update_vectors.T @ self._nominal_inverse_u
+        # Backend mirrors of U and A_nom^-1 U, uploaded (and transfer-
+        # counted) once, on the first solve.
+        self._operators = None
 
     @property
     def size(self):
@@ -112,45 +144,30 @@ class WoodburySolver:
 
         ``rhs`` is either one vector ``(n,)`` or a multi-RHS block
         ``(n, m)`` sharing the same conductances -- the solution has the
-        same shape.  Zero conductances are supported (the corresponding
-        stamp simply drops out); negative conductances are rejected as
-        non-physical.
+        same shape.  The shared-``g`` view of :meth:`solve_batch`.
         """
         conductances = np.asarray(conductances, dtype=float).ravel()
         if conductances.size != self.rank:
             raise SolverError(
                 f"expected {self.rank} conductances, got {conductances.size}"
             )
-        if np.any(conductances < 0.0):
-            raise SolverError("wire conductances must be non-negative")
         rhs = self._check_rhs(rhs)
-        base_solution = self._lu.solve(rhs)
-
-        active = conductances > 0.0
-        if not np.any(active):
-            return base_solution
-        u_active = self.update_vectors[:, active]
-        base_inv_u = self._base_inverse_u[:, active]
-        core = self._core[np.ix_(active, active)].copy()
-        core[np.diag_indices_from(core)] += 1.0 / conductances[active]
-        try:
-            coefficients = np.linalg.solve(core, u_active.T @ base_solution)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
-        solution = base_solution - base_inv_u @ coefficients
-        if not np.all(np.isfinite(solution)):
-            raise SolverError("Woodbury solve produced non-finite values")
-        return solution
+        columns = 1 if rhs.ndim == 1 else rhs.shape[1]
+        solution = self.solve_batch(
+            np.broadcast_to(conductances, (columns, self.rank)), rhs
+        )
+        return solution[:, 0] if rhs.ndim == 1 else solution
 
     def solve_batch(self, conductances, rhs):
         """Sample-blocked solve: ``(S, k)`` conductances in one pass.
 
         Solves ``(A_base + U diag(g_s) U^T) x_s = b_s`` for every sample
-        ``s`` of a block at once: one multi-RHS base backsolve over the
-        whole ``(n, S)`` RHS block, then a stacked ``(S, k, k)`` core
-        solve via :func:`numpy.linalg.solve` batching and a single
-        BLAS-3 correction product -- instead of ``S`` independent
-        :meth:`solve` calls.
+        ``s`` of a block at once, in the backend's memory space: one
+        multi-RHS nominal backsolve, the projection ``U^T x_b``, a
+        stacked ``(S, k, k)`` core solve and one batched correction
+        product ``A_nom^-1 U c_s``.  Zero conductances need no special case
+        (``g - g0 = -g0`` removes the nominal stamp); negative ones are
+        rejected as non-physical.
 
         Parameters
         ----------
@@ -161,21 +178,13 @@ class WoodburySolver:
             Either an ``(n, S)`` block (one column per sample) or a
             single shared ``(n,)`` vector -- the campaign's electrical
             fast path drives every sample with the same reduced RHS, so
-            the base backsolve collapses to one vector solve.
+            the backsolve collapses to one vector solve.
 
         Returns
         -------
-        ``(n, S)`` solution block, column ``s`` for sample ``s``.  With a
-        shared ``(n,)`` RHS, column ``s`` is bitwise identical to
-        ``solve(conductances[s], rhs)``: the core solves are batched but
-        per-matrix exact, and the rank-k corrections are applied
-        column-wise on purpose -- ``A0^-1 b`` and the correction are
-        orders of magnitude larger than their difference, so a blocked
-        gemm's summation reorder would be amplified by the cancellation
-        (measured ~1e-8 absolute on the paper's electrical system).
-        With an ``(n, S)`` RHS block only the multi-RHS base backsolve
-        (SuperLU's blocked supernodal kernels reorder sums for
-        ``nrhs > 1``) separates a column from the per-sample result.
+        ``(n, S)`` solution block, column ``s`` for sample ``s``.  Per
+        call a device backend pays three counted transfers (RHS up,
+        cores up, solution down) after the one-time operator uploads.
         """
         conductances = np.asarray(conductances, dtype=float)
         if conductances.ndim != 2:
@@ -191,8 +200,10 @@ class WoodburySolver:
         if np.any(conductances < 0.0):
             raise SolverError("wire conductances must be non-negative")
         rhs = self._check_rhs(rhs)
-        shared_rhs = rhs.ndim == 1
-        if not shared_rhs and rhs.shape[1] != num_samples:
+        if rhs.ndim == 1:
+            # A shared RHS is one column that broadcasts over the block.
+            rhs = rhs[:, None]
+        elif rhs.shape[1] != num_samples:
             if rhs.shape[1] == 1:
                 # A single column where a shared vector is meant is a
                 # classic silent-broadcast hazard; name the fix.
@@ -206,138 +217,38 @@ class WoodburySolver:
                 f"rhs block has {rhs.shape[1]} columns for "
                 f"{num_samples} samples"
             )
-        homogeneous = (
-            self.rank > 0
-            and num_samples > 0
-            and bool(np.all(conductances > 0.0))
+        backend = self.backend
+        u, nominal_inverse_u = self._device_operators()
+        base = self._handle.backsolve(
+            backend.to_device(np.ascontiguousarray(rhs))
         )
-        if homogeneous and self.backend.correction_mode == "gemm":
-            # Device backends (cupy, devicesim) take the gemm-ordered
-            # path within their declared rtol equivalence tier; the
-            # heterogeneous fallback below stays on the host.
-            return self._solve_batch_device(
-                conductances, rhs, shared_rhs, num_samples
-            )
-        base = self._lu.solve(np.ascontiguousarray(rhs))
-        if shared_rhs:
-            base_block = np.broadcast_to(
-                base[:, None], (self.size, num_samples)
-            )
-        else:
-            base_block = base
-
         telemetry.increment("solver.blocked_solves")
-        if self.rank == 0 or not conductances.any():
-            return np.array(base_block)
-        if np.all(conductances > 0.0):
-            # Homogeneous active set (the MC hot path: every wire
-            # conducts): one stacked core solve over all samples.
-            cores = np.repeat(self._core[None, :, :], num_samples, axis=0)
-            diag = np.arange(self.rank)
-            cores[:, diag, diag] += 1.0 / conductances
-            if shared_rhs:
-                rhs_core = np.broadcast_to(
-                    self.update_vectors.T @ base,
-                    (num_samples, self.rank),
-                )
-            else:
-                # Column-wise gemvs, not one gemm: the per-sample path
-                # reduces U^T b column by column and the ill-conditioned
-                # core amplifies summation reorder (see the docstring).
-                rhs_core = np.stack([
-                    self.update_vectors.T @ np.ascontiguousarray(base[:, s])
-                    for s in range(num_samples)
-                ])
-            try:
-                coefficients = np.linalg.solve(
-                    cores, rhs_core[..., None]
-                )[..., 0]
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    f"Woodbury core solve failed: {exc}"
-                ) from exc
-            solution = np.empty((self.size, num_samples))
-            for s in range(num_samples):
-                # Per-column correction keeps the cancellation between
-                # the base solution and the rank-k correction bitwise
-                # faithful to :meth:`solve`.
-                solution[:, s] = base_block[:, s] - (
-                    self._base_inverse_u @ coefficients[s]
-                )
-        else:
-            # Heterogeneous active sets (some samples drop stamps):
-            # keep the shared base backsolve, apply the masked rank-k
-            # correction per sample.
-            solution = np.empty((self.size, num_samples))
-            for s in range(num_samples):
-                g = conductances[s]
-                active = g > 0.0
-                column = np.array(base_block[:, s])
-                if np.any(active):
-                    u_active = self.update_vectors[:, active]
-                    core = self._core[np.ix_(active, active)].copy()
-                    core[np.diag_indices_from(core)] += 1.0 / g[active]
-                    try:
-                        coefficients = np.linalg.solve(
-                            core, u_active.T @ column
-                        )
-                    except np.linalg.LinAlgError as exc:
-                        raise SolverError(
-                            f"Woodbury core solve failed: {exc}"
-                        ) from exc
-                    column = column - (
-                        self._base_inverse_u[:, active] @ coefficients
-                    )
-                solution[:, s] = column
+        delta = conductances - self.nominal
+        cores = delta[:, :, None] * self._core
+        diag = np.arange(self.rank)
+        cores[:, diag, diag] += 1.0
+        try:
+            coefficients = backend.batched_core_solve(
+                cores, delta, (u.T @ base).T
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
+        # One matrix-vector product per sample, batched in one call:
+        # (n, k) @ (S, k, 1) -> (S, n, 1).  A single (n, k) x (k, S)
+        # gemm would run multithreaded in OpenBLAS, and its spinning
+        # workers slow the next SuperLU backsolve about twofold on a
+        # two-core host with default BLAS threading.
+        correction = nominal_inverse_u @ coefficients
+        solution = backend.from_device(base - correction.T)[0]
         if not np.all(np.isfinite(solution)):
             raise SolverError("Woodbury solve produced non-finite values")
         return solution
 
     def _device_operators(self):
-        """Upload U and A0^-1 U to the device once (counted transfers)."""
-        if self._device_ops is None:
-            self._device_ops = (
+        """Upload U and A_nom^-1 U to the backend once (counted)."""
+        if self._operators is None:
+            self._operators = (
                 self.backend.to_device(self.update_vectors),
-                self.backend.to_device(self._base_inverse_u),
+                self.backend.to_device(self._nominal_inverse_u),
             )
-        return self._device_ops
-
-    def _solve_batch_device(self, conductances, rhs, shared_rhs,
-                            num_samples):
-        """The gemm-ordered blocked solve in the backend's memory space.
-
-        Exactly the same algebra as the host path, but the corrections
-        are one BLAS-3 product instead of per-column gemvs -- the
-        natural device shape -- so results match the per-sample path
-        within the backend's declared ``equivalence`` tier rather than
-        bitwise.  Per call: one RHS upload, one cores upload (inside
-        ``batched_core_solve``), one solution download, plus the
-        one-time operator uploads -- every one accounted in
-        ``solver.device_transfers``.
-        """
-        backend = self.backend
-        rhs_device = backend.to_device(np.ascontiguousarray(rhs))
-        base = self._handle.backsolve(rhs_device)
-        telemetry.increment("solver.blocked_solves")
-        u_device, base_inverse_u_device = self._device_operators()
-        cores = np.repeat(self._core[None, :, :], num_samples, axis=0)
-        diag = np.arange(self.rank)
-        cores[:, diag, diag] += 1.0 / conductances
-        if shared_rhs:
-            rhs_core = backend.broadcast_rows(
-                u_device.T @ base, num_samples
-            )
-            base_block = backend.broadcast_columns(base, num_samples)
-        else:
-            rhs_core = (u_device.T @ base).T
-            base_block = base
-        try:
-            coefficients = backend.batched_core_solve(cores, rhs_core)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"Woodbury core solve failed: {exc}") from exc
-        solution = backend.from_device(
-            base_block - base_inverse_u_device @ coefficients.T
-        )
-        if not np.all(np.isfinite(solution)):
-            raise SolverError("Woodbury solve produced non-finite values")
-        return solution
+        return self._operators

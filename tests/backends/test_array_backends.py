@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from repro.backends import (
     ArrayBackend,
-    EquivalenceTier,
     get_array_backend,
     register_array_backend,
     registered_array_backends,
@@ -97,49 +96,46 @@ class TestCupyGuard:
         assert "cupy" in registered_array_backends()
 
 
-class TestDeclaredContracts:
-    def test_numpy_is_bitwise_columns(self):
-        backend = get_array_backend("numpy")
-        assert backend.equivalence.kind == "bitwise"
-        assert backend.equivalence.rtol == 0.0
-        assert backend.correction_mode == "columns"
-
-    def test_devicesim_declares_rtol_gemm(self):
-        backend = get_array_backend("devicesim")
-        assert backend.equivalence.kind == "rtol"
-        assert backend.equivalence.rtol > 0.0
-        assert backend.correction_mode == "gemm"
-
-    def test_equivalence_tier_shape(self):
-        tier = EquivalenceTier("rtol", 1e-6)
-        assert tier.kind == "rtol"
-        assert tier.rtol == 1e-6
-
-
 class TestNumpyBackendIsTheReferencePath:
     def test_solver_default_backend_bitwise_unchanged(self, monkeypatch):
-        # The refactor's acceptance bar: the default backend reproduces
-        # the historic blocked path bit for bit.
+        # Out of the box the solver runs on numpy: bit for bit the
+        # explicitly selected numpy backend, and both right against an
+        # independent sparse LU of each stamped system.
         monkeypatch.delenv(ENV_DEFAULT, raising=False)
         rng = np.random.default_rng(7)
         n, k, samples = 30, 3, 9
-        solver = WoodburySolver(_base(n), _stamps(n, k))
+        base, u = _base(n), _stamps(n, k)
+        solver = WoodburySolver(base, u, np.ones(k))
         assert solver.backend.name == "numpy"
+        explicit = WoodburySolver(base, u, np.ones(k), backend="numpy")
         g = rng.uniform(0.5, 5.0, (samples, k))
         rhs = rng.standard_normal(n)
         blocked = solver.solve_batch(g, rhs)
+        assert np.array_equal(blocked, explicit.solve_batch(g, rhs))
         for s in range(samples):
-            assert np.array_equal(blocked[:, s], solver.solve(g[s], rhs))
+            stamped = (base + sp.csc_matrix(u @ np.diag(g[s]) @ u.T)).tocsc()
+            np.testing.assert_allclose(
+                blocked[:, s], sp.linalg.spsolve(stamped, rhs),
+                rtol=1e-10, atol=0.0,
+            )
 
     def test_batched_core_solve_matches_per_matrix(self):
         backend = get_array_backend("numpy")
         rng = np.random.default_rng(3)
         cores = rng.standard_normal((5, 4, 4)) + 4.0 * np.eye(4)
+        scale = rng.standard_normal((5, 4))
         rhs = rng.standard_normal((5, 4))
-        batched = backend.batched_core_solve(cores, rhs)
+        batched = backend.batched_core_solve(cores, scale, rhs)
+        shared = backend.batched_core_solve(cores, scale, rhs[:1])
+        assert batched.shape == shared.shape == (5, 4, 1)
         for s in range(5):
             assert np.array_equal(
-                batched[s], np.linalg.solve(cores[s], rhs[s])
+                batched[s, :, 0],
+                np.linalg.solve(cores[s], scale[s] * rhs[s]),
+            )
+            assert np.array_equal(
+                shared[s, :, 0],
+                np.linalg.solve(cores[s], scale[s] * rhs[0]),
             )
 
     def test_transfers_are_identity_and_uncounted(self):

@@ -66,6 +66,17 @@ class TestWireProperties:
         with pytest.raises(BondWireError):
             LumpedBondWire(0, 1, copper(), 1e-6, 1e-3, num_segments=0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_geometry_rejected(self, bad, paper_wire):
+        # An infinite wire would silently carry zero power; a nan one
+        # would only fail later, inside a solve.
+        with pytest.raises(BondWireError, match="finite"):
+            LumpedBondWire(0, 1, copper(), 25.4e-6, bad)
+        with pytest.raises(BondWireError, match="finite"):
+            LumpedBondWire(0, 1, copper(), bad, 1.55e-3)
+        with pytest.raises(BondWireError, match="finite"):
+            paper_wire.with_length(bad)
+
 
 class TestWireStamp:
     def test_incidence_vector(self):

@@ -3,24 +3,15 @@
 The blocked fast path restructures the Monte Carlo hot loop from one
 coupled transient per sample into batched multi-RHS linear algebra.
 These tests pin the contract: a blocked campaign reproduces the
-per-sample study bitwise where the batched operations preserve the
-scalar summation order (small blocks, and every chunking at rtol=1e-12
-once SuperLU's blocked multi-RHS kernels kick in), and the campaign
-engine's determinism guarantees (serial == process, kill/resume) stay
-bit-identical with blocking on.
-
-Golden-vs-blocked assertions are tier-aware: under a device backend
-(``REPRO_ARRAY_BACKEND=devicesim`` in CI) the per-sample golden is
-built on the ``numpy`` backend explicitly while the blocked campaign
-takes the gemm-ordered device path, so those comparisons relax to the
-backend's declared ``rtol`` tier. Same-backend determinism stays
-bitwise on every tier.
+per-sample study to ``RTOL`` for every chunking and array backend (the
+golden is always built on the ``numpy`` backend, so under
+``REPRO_ARRAY_BACKEND=devicesim`` in CI the device path is checked
+against the host), and the campaign engine's determinism guarantees
+(serial == process, kill/resume) stay bit-identical with blocking on.
 """
 
 import numpy as np
 import pytest
-
-from repro.backends import get_array_backend
 
 from repro.campaign import (
     ArtifactStore,
@@ -41,23 +32,9 @@ _TINY = {
     "resolution": (0.9e-3, 0.4e-3),
 }
 
-
-def _assert_tier_close(actual, expected, rtol, atol=0.0, scale=None):
-    """Golden comparison at ``rtol`` -- relaxed to the declared tier of
-    the active backend when it is not bitwise-equivalent.
-
-    ``scale`` sets the magnitude the tier's absolute floor is taken
-    against; it defaults to ``max|expected|``, but quantities formed by
-    cancellation (a standard deviation of ~322 K temperatures) must
-    pass the magnitude of the raw outputs instead.
-    """
-    tier = get_array_backend(None).equivalence
-    if tier.kind != "bitwise":
-        if scale is None:
-            scale = float(np.max(np.abs(expected))) if np.size(expected) else 1.0
-        rtol = max(rtol, tier.rtol)
-        atol = max(atol, tier.rtol * max(scale, 1.0))
-    assert np.allclose(actual, expected, rtol=rtol, atol=atol)
+#: Blocked vs per-sample golden: the batched products reorder sums, the
+#: chunk-ordered Welford fold reorders the statistics.
+RTOL = 1e-12
 
 
 def _tiny_spec(num_samples=14, chunk_size=7, **kwargs):
@@ -100,30 +77,20 @@ class TestChunkSizeMatrix:
         store = ArtifactStore(tmp_path / "store")
         result = run_campaign(spec, store=store)
         assert np.array_equal(result.parameters, deltas)
-        # Statistics are folded chunk-by-chunk (Welford), so they can
-        # never be bit-identical to numpy's pairwise mean -- rtol=1e-12
-        # with a matching absolute floor is the contract.
         mean = outputs.mean(axis=0)
-        _assert_tier_close(result.mean, mean, rtol=1e-12,
-                           atol=1e-12 * np.abs(mean).max())
-        _assert_tier_close(result.std, outputs.std(axis=0, ddof=1),
-                           rtol=1e-12, atol=1e-12,
-                           scale=float(np.abs(outputs).max()))
+        np.testing.assert_allclose(result.mean, mean, rtol=RTOL)
+        # A standard deviation of ~322 K temperatures is formed by
+        # cancellation: its floor is set by the raw outputs' magnitude.
+        np.testing.assert_allclose(
+            result.std, outputs.std(axis=0, ddof=1),
+            rtol=RTOL, atol=RTOL * float(np.abs(outputs).max()),
+        )
         # The per-sample outputs themselves are checkpointed: compare
         # those against the golden rows directly.
         stored = np.concatenate([
             store.read_chunk(index)[2] for index in range(spec.num_chunks)
         ])
-        bitwise = get_array_backend(None).equivalence.kind == "bitwise"
-        if chunk_size == 1 and bitwise:
-            # Single-sample blocks preserve the scalar operation order
-            # exactly -- the equivalence is bitwise, not approximate.
-            assert np.array_equal(stored, outputs)
-        else:
-            # Wider blocks route through SuperLU's multi-RHS backsolve,
-            # whose blocked kernels may reorder sums (rtol=1e-12); a
-            # device backend's gemm path relaxes to its declared tier.
-            _assert_tier_close(stored, outputs, rtol=1e-12)
+        np.testing.assert_allclose(stored, outputs, rtol=RTOL)
 
 
 class TestBackendDeterminism:
@@ -179,7 +146,7 @@ class TestArrayBackendThreading:
         run_campaign(spec, store=store, array_backend="devicesim")
         # Re-stating the pinned backend is a no-op ...
         resume_campaign(store, array_backend="devicesim")
-        # ... naming a different one would mix equivalence tiers.
+        # ... naming a different one changes the spec identity.
         with pytest.raises(CampaignError, match="different spec"):
             resume_campaign(store, array_backend="numpy")
 

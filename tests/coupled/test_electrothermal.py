@@ -73,9 +73,7 @@ class TestFastMode:
 
         Full mode is then a direct LU of the stamped matrix, an
         independent reference for the Woodbury step kernel -- internal
-        wire nodes included.  The peak bound is looser because the
-        fast base shunts internal nodes with a 1e-12-relative
-        conductance.
+        wire nodes included.
         """
         problem = build_wire_bridge_problem(
             num_segments=num_segments, nonlinear=False
@@ -91,7 +89,7 @@ class TestFastMode:
         )
         np.testing.assert_allclose(
             r_fast.wire_peak_temperatures, r_full.wire_peak_temperatures,
-            rtol=0.0, atol=1e-5,
+            rtol=0.0, atol=1e-6,
         )
 
     def test_fast_with_radiation(self):
@@ -150,6 +148,14 @@ class TestSetWireLengths:
         solver = CoupledSolver(wire_bridge_problem, mode="fast")
         with pytest.raises(SolverError):
             solver.set_wire_lengths([1e-3, 2e-3])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_length_rejected(self, wire_bridge_problem, bad):
+        from repro.errors import BondWireError
+
+        solver = CoupledSolver(wire_bridge_problem, mode="fast")
+        with pytest.raises(BondWireError, match="finite"):
+            solver.set_wire_lengths([bad])
 
 
 class TestMultiSegment:

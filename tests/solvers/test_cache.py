@@ -1,9 +1,14 @@
 """Tests for the content-addressed factorization cache."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.backends import NumpyBackend
 from repro.errors import SolverError
 from repro.solvers.cache import (
     FactorizationCache,
@@ -68,18 +73,18 @@ class TestCacheBehavior:
         cache = FactorizationCache()
         clean = _spd()
         padded = (clean - clean) + clean
-        cache.splu(clean)
-        cache.splu(padded)
+        cache.factorize(clean)
+        cache.factorize(padded)
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_symmetric_mode_is_part_of_the_key(self):
         cache = FactorizationCache()
         matrix = _spd()
-        lu_general = cache.splu(matrix)
-        lu_symmetric = cache.splu(matrix, symmetric=True)
+        lu_general = cache.factorize(matrix).lu
+        lu_symmetric = cache.factorize(matrix, symmetric=True).lu
         assert lu_general is not lu_symmetric
         assert cache.stats()["entries"] == 2
-        assert cache.splu(matrix, symmetric=True) is lu_symmetric
+        assert cache.factorize(matrix, symmetric=True).lu is lu_symmetric
 
     def test_symmetric_mode_solves_spd_systems(self):
         matrix = _spd(n=30, seed=3)
@@ -90,7 +95,7 @@ class TestCacheBehavior:
     def test_lru_eviction_bound(self):
         cache = FactorizationCache(max_entries=2)
         for seed in range(4):
-            cache.splu(_spd(seed=seed))
+            cache.factorize(_spd(seed=seed))
         assert len(cache) == 2
 
     def test_invalid_max_entries(self):
@@ -138,17 +143,47 @@ class TestBackendKeyedIsolation:
         assert after["hits"] == middle["hits"] + 2
         assert after["misses"] == middle["misses"]
 
-    def test_splu_accessor_is_the_numpy_backend_view(self):
-        cache = FactorizationCache()
-        matrix = _spd()
-        handle = cache.factorize(matrix, backend="numpy")
-        # The legacy accessor returns the same underlying SuperLU
-        # object -- one factorization, two views.
-        assert cache.splu(matrix) is handle.lu
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
-
     def test_default_backend_resolution(self):
         cache = FactorizationCache()
         matrix = _spd()
         default_handle = cache.factorize(matrix)
         assert cache.factorize(matrix, backend="numpy") is default_handle
+
+
+class _SlowNumpyBackend(NumpyBackend):
+    """numpy backend whose factorization takes long enough to overlap."""
+
+    name = "_slow_numpy"
+
+    def factorize(self, base_matrix, symmetric=False):
+        time.sleep(0.02)
+        return super().factorize(base_matrix, symmetric=symmetric)
+
+
+class TestConcurrency:
+    def test_concurrent_requests_factorize_once(self):
+        """Threads asking for one matrix at once (two service jobs on
+        one scenario) share a single factorization."""
+        cache = FactorizationCache()
+        backend = _SlowNumpyBackend()
+        matrix = _spd()
+        barrier = threading.Barrier(8)
+        handles = []
+
+        def request():
+            barrier.wait(timeout=10)
+            handles.append(cache.factorize(matrix, backend=backend))
+
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.stats() == {"entries": 1, "hits": 7, "misses": 1}
+        assert all(handle is handles[0] for handle in handles)

@@ -18,8 +18,9 @@ Two execution modes:
   (the reference scheme);
 * ``mode="fast"`` -- field material matrices frozen at the initial
   temperature so both base matrices can be LU-factorized *once*; the only
-  matrix changes left are the rank-``n_segments`` bonding wire stamps,
-  handled by Sherman-Morrison-Woodbury updates, and the radiation
+  matrix changes left are the bonding wire stamps and the internal-node
+  heat capacities of segmented wires, handled by Sherman-Morrison-Woodbury
+  updates, and the radiation
   nonlinearity, which converges through the fixed point on the right-hand
   side.  This is the Monte Carlo fast path: the wire nonlinearities (the
   dominant electrothermal feedback of this application) are retained
@@ -60,11 +61,11 @@ class CoupledSolver:
         ``"full"`` (reference) or ``"fast"`` (frozen field materials +
         Woodbury wire updates; see module docstring).
     tolerance:
-        Fixed-point tolerance on the temperature update [K].
+        Fixed-point tolerance on the temperature update [K]; finite, > 0.
     max_iterations:
-        Fixed-point iteration budget per time step.
+        Fixed-point iteration budget per time step; >= 1.
     damping:
-        Fixed-point relaxation factor.
+        Fixed-point relaxation factor in (0, 1].
     factorization_cache:
         Optional :class:`~repro.solvers.cache.FactorizationCache` shared
         across solver instances; fast-mode base LUs are looked up there,
@@ -103,6 +104,16 @@ class CoupledSolver:
         self.tolerance = float(tolerance)
         self.max_iterations = int(max_iterations)
         self.damping = float(damping)
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise SolverError(
+                f"tolerance must be finite and > 0, got {tolerance!r}"
+            )
+        if self.max_iterations < 1:
+            raise SolverError(
+                f"max_iterations must be >= 1, got {max_iterations!r}"
+            )
+        if not 0.0 < self.damping <= 1.0:
+            raise SolverError(f"damping must be in (0, 1], got {damping!r}")
         self.factorization_cache = factorization_cache
         self.array_backend = get_array_backend(array_backend)
 
@@ -112,11 +123,14 @@ class CoupledSolver:
         self.n_grid = n_grid
         self.total_size = problem.total_size
 
-        # Heat capacitance over all unknowns (grid + internal wire nodes).
+        # Heat capacitance over all unknowns (grid + internal wire nodes);
+        # full mode and the energy audit read it, set_wire_lengths keeps
+        # its internal rows current.  The fast-mode bases take the grid
+        # rows only.
         capacitance = np.zeros(self.total_size)
         capacitance[:n_grid] = self.discretization.thermal_capacitance()
-        if self.topology.num_extra_nodes:
-            capacitance[n_grid:] = self.topology.extra_heat_capacities()
+        self._grid_capacitance = capacitance.copy()
+        capacitance[n_grid:] = self.topology.extra_heat_capacities()
         self.capacitance = capacitance
 
         # Thermal boundary structures (grid block only).
@@ -149,13 +163,12 @@ class CoupledSolver:
         self.el_free = np.nonzero(mask)[0]
 
         # Length-invariant wire data of the fast-mode step kernel
-        # (segment/endpoint node indices, material, cross section,
-        # segment count); only the lengths vary between samples.
+        # (segment node indices, material, cross section, segment
+        # count); only the lengths vary between samples.
         topology = self.topology
         self._seg_start, self._seg_end, self._seg_wire = (
             topology.segment_node_indices()
         )
-        self._ep_start, self._ep_end = topology.endpoint_node_indices()
         self._wire_materials = [wire.material for wire in topology.wires]
         self._wire_areas = np.array(
             [wire.cross_section_area for wire in topology.wires]
@@ -163,6 +176,20 @@ class CoupledSolver:
         self._wire_segments = np.array(
             [wire.num_segments for wire in topology.wires], dtype=int
         )
+        # Internal wire node i (row n_grid + i) holds the heat capacity
+        # c_i * L of one segment of its wire, c_i = rho_c A / n_seg.
+        # Linear in the length, so fast mode carries it as one more
+        # column of the thermal Woodbury update.
+        self._int_wire = np.array([
+            wire for wire, chain in enumerate(topology.wire_nodes)
+            for _ in chain[1:-1]
+        ], dtype=int)
+        self._int_capacity = np.array([
+            self._wire_materials[wire].volumetric_heat_capacity()
+            for wire in self._int_wire
+        ]) * self._wire_areas[self._int_wire] / self._wire_segments[
+            self._int_wire
+        ]
         #: ``(1, W)`` lengths row of the per-sample fast step.
         self._wire_lengths = np.array(
             [[wire.length for wire in topology.wires]]
@@ -170,9 +197,6 @@ class CoupledSolver:
 
         self._linear_el = LinearSolver()
         self._linear_th = LinearSolver()
-        #: Drive scale of the current time level (waveform support).
-        self._el_scale = 1.0
-        self._fast_state = None
         self.max_thermal_solvers = int(max_thermal_solvers)
         if self.max_thermal_solvers < 1:
             raise SolverError(
@@ -215,11 +239,10 @@ class CoupledSolver:
         The wire stamps (and therefore both Woodbury bases, the Dirichlet
         reduction and the FIT operators) are length-independent -- only the
         conductances fed into the solves change.  This makes the per-sample
-        cost of a Monte Carlo study a pure solve cost.
-
-        For multi-segment wires the internal node heat capacities scale
-        with the segment length, so the thermal base is invalidated in
-        that case.
+        cost of a Monte Carlo study a pure solve cost.  Internal wire
+        nodes' heat capacities enter fast mode as Woodbury columns too,
+        so this holds for multi-segment wires as well; ``capacitance``
+        is updated for full mode and the energy audit.
         """
         lengths = np.asarray(lengths, dtype=float).ravel()
         if lengths.size != len(self.topology.wires):
@@ -234,12 +257,7 @@ class CoupledSolver:
         self.topology.wires = new_wires
         self.problem.wires = new_wires
         self._wire_lengths = np.array([[wire.length for wire in new_wires]])
-        if self.topology.num_extra_nodes:
-            self.capacitance[self.n_grid:] = (
-                self.topology.extra_heat_capacities()
-            )
-            if self.mode == "fast":
-                self._fast_th_solvers.clear()
+        self.capacitance[self.n_grid:] = self.topology.extra_heat_capacities()
 
     # ------------------------------------------------------------------
     # Assembly helpers
@@ -263,22 +281,22 @@ class CoupledSolver:
         stamps = [stamp for _, stamp in self.topology.flat_segments]
         return stamp_conductance_matrix(self.total_size, stamps, conductances)
 
-    def _reduce_electrical(self, matrix):
+    def _reduce_electrical(self, matrix, scale=1.0):
         """Apply the (precomputed) electrical Dirichlet reduction.
 
-        The contact values are scaled by the current drive waveform value
-        (``1.0`` for the paper's constant drive).
+        The contact values are scaled by the drive waveform value
+        ``scale`` (``1.0`` for the paper's constant drive).
         """
         matrix = matrix.tocsr()
         a_ff = matrix[self.el_free][:, self.el_free]
         a_fc = matrix[self.el_free][:, self.el_fixed]
-        rhs = -(a_fc @ (self.el_fixed_values * self._el_scale))
+        rhs = -(a_fc @ (self.el_fixed_values * scale))
         return a_ff.tocsc(), rhs
 
-    def _expand_electrical(self, free_solution):
+    def _expand_electrical(self, free_solution, scale):
         full = np.empty(self.total_size)
         full[self.el_free] = free_solution
-        full[self.el_fixed] = self.el_fixed_values * self._el_scale
+        full[self.el_fixed] = self.el_fixed_values * scale
         return full
 
     # ------------------------------------------------------------------
@@ -314,10 +332,13 @@ class CoupledSolver:
         # conductances at the initial temperature and the construction
         # lengths: the samples scatter around them, which keeps every
         # update small and well conditioned, and they connect the
-        # internal wire nodes of multi-segment wires.  Both bases are
-        # symmetric positive definite (FIT stiffness + positive
-        # diagonals + stamps, Dirichlet-reduced), so the cheaper
-        # symmetric factorization mode applies.
+        # internal wire nodes of multi-segment wires.  The thermal
+        # update also carries one unit column per internal node for its
+        # heat capacity over dt, so every per-dt base is
+        # length-independent.  Both bases are symmetric positive
+        # definite (FIT stiffness + positive diagonals + stamps,
+        # Dirichlet-reduced), so the cheaper symmetric factorization
+        # mode applies.
         uniform = np.full(self.total_size, problem.t_initial)
         self._fast_el = WoodburySolver(
             a_el, u_el,
@@ -330,15 +351,16 @@ class CoupledSolver:
             self.topology.segment_thermal_conductances(uniform)
         )
         self._fast_el_rhs = rhs_el
-
-        k_th = embed_grid_matrix(
+        self._fast_u_th = np.hstack([u_full, np.eye(
+            self.total_size, self._int_wire.size, k=-self.n_grid
+        )])
+        self._fast_int_heat = (
+            self._int_capacity * self._wire_lengths[0, self._int_wire]
+        )
+        self._fast_k_th = embed_grid_matrix(
             self.discretization.stiffness_from_diagonal(lambda_diag),
             self.total_size,
         )
-        self._fast_state = "ready"
-        self._fast_u = u_full
-        self._fast_k_th = k_th
-        self._fast_th_solvers.clear()  # (re)built per dt on demand
 
     def _fast_thermal_solver(self, dt):
         """The per-dt thermal Woodbury solver (bounded LRU map).
@@ -354,11 +376,14 @@ class CoupledSolver:
             self._fast_th_solvers.move_to_end(key)
             return solver
         base = (
-            sp.diags(self.capacitance / dt)
+            sp.diags(self._grid_capacitance / dt)
             + self._fast_k_th
             + sp.diags(self.conv_diag)
         ).tocsc()
-        solver = WoodburySolver(base, self._fast_u, self._fast_th_nominal,
+        nominal = np.concatenate(
+            [self._fast_th_nominal, self._fast_int_heat / dt]
+        )
+        solver = WoodburySolver(base, self._fast_u_th, nominal,
                                 cache=self.factorization_cache,
                                 symmetric=True,
                                 backend=self.array_backend)
@@ -433,7 +458,7 @@ class CoupledSolver:
     # ------------------------------------------------------------------
     # Single-iterate physics evaluation
     # ------------------------------------------------------------------
-    def _solve_electrical_full(self, t_star):
+    def _solve_electrical_full(self, t_star, scale):
         sigma_diag, lambda_diag, cell_t = self._field_diagonals(
             t_star[: self.n_grid]
         )
@@ -443,8 +468,8 @@ class CoupledSolver:
         )
         g_el = self.topology.segment_electrical_conductances(t_star)
         matrix = k_el + self._wire_stamp_matrix(g_el)
-        a_ff, rhs = self._reduce_electrical(matrix)
-        phi = self._expand_electrical(self._linear_el.solve(a_ff, rhs))
+        a_ff, rhs = self._reduce_electrical(matrix, scale)
+        phi = self._expand_electrical(self._linear_el.solve(a_ff, rhs), scale)
         return phi, cell_t, lambda_diag, g_el
 
     def _joule_sources(self, phi, t_star, cell_t):
@@ -459,19 +484,21 @@ class CoupledSolver:
         q_wire, wire_powers = self.topology.joule_powers(phi, t_star)
         return q + q_wire, wire_powers, field_power
 
-    def _full_advance(self, cache, t_old=None, dt=None):
+    def _full_advance(self, cache, t_old=None, dt=None, scale=1.0):
         """The full-mode fixed-point map ``T* -> T``.
 
         Reassembles both operators at the iterate and solves the thermal
         system; with ``dt`` it is one implicit Euler step from ``t_old``
         (adds the ``C/dt`` mass term and ``C/dt * t_old``), without it
-        the steady state.  The outputs of the latest call land in
-        ``cache``.
+        the steady state.  ``scale`` is the drive waveform value.  The
+        outputs of the latest call land in ``cache``.
         """
         problem = self.problem
 
         def advance(t_star):
-            phi, cell_t, lambda_diag, _ = self._solve_electrical_full(t_star)
+            phi, cell_t, lambda_diag, _ = self._solve_electrical_full(
+                t_star, scale
+            )
             q, wire_powers, field_power = self._joule_sources(
                 phi, t_star, cell_t
             )
@@ -550,12 +577,7 @@ class CoupledSolver:
         )
         q = np.zeros((self.total_size, phi.shape[1]))
         q[:n_grid] = disc.node_power_from_cells(density)
-        # Column-wise dots (not one gemv) keep every column's reduction
-        # order independent of the block width.
-        field_power = np.array([
-            np.dot(np.ascontiguousarray(density[:, s]), disc.cell_volumes)
-            for s in range(phi.shape[1])
-        ])
+        field_power = density.T @ disc.cell_volumes
         drop = phi[self._seg_start] - phi[self._seg_end]
         power = g_el * drop * drop
         q_wire = np.zeros_like(q)
@@ -568,19 +590,26 @@ class CoupledSolver:
     # ------------------------------------------------------------------
     # Time stepping
     # ------------------------------------------------------------------
-    def _step_full(self, t_old, dt, guess=None):
-        """One implicit Euler step in full mode; returns (T_new, diag)."""
+    def _step_full(self, t_old, dt, scale, guess=None):
+        """:meth:`_step_block`'s contract in full mode, at ``S = 1`` with
+        the lengths :meth:`set_wire_lengths` bound."""
         cache = {}
         result = fixed_point(
-            self._full_advance(cache, t_old, dt),
-            t_old if guess is None else guess,
+            self._full_advance(cache, t_old[:, 0], dt, scale),
+            (t_old if guess is None else guess)[:, 0],
             tolerance=self.tolerance,
             max_iterations=self.max_iterations,
             damping=self.damping,
         )
         self.metrics.increment("coupled_steps")
         telemetry.increment("solver.coupled_steps")
-        return result.solution, result.iterations, cache
+        return (
+            result.solution[:, None],
+            np.array([result.iterations]),
+            cache["phi"][:, None],
+            cache["wire_powers"][:, None],
+            np.array([cache["field_power"]]),
+        )
 
     def _step_block(self, t_old, lengths, dt, scale, guess=None):
         """One fast-mode implicit Euler step for an ``(n, S)`` block.
@@ -601,14 +630,16 @@ class CoupledSolver:
         with shapes ``(n, S)``, ``(S,)``, ``(n, S)``, ``(W, S)`` and
         ``(S,)``.
         """
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(
-                f"damping must be in (0, 1], got {self.damping!r}"
-            )
         thermal = self._fast_thermal_solver(dt)
         rhs_el = self._fast_el_rhs * scale
         fixed_phi = self.el_fixed_values * scale
-        capacitance_dt = self.capacitance / dt
+        # Per-sample internal-node heat capacities over dt: the extra
+        # thermal update columns, and the internal rows of C/dt * T_n.
+        int_heat = (
+            self._int_capacity[:, None] * lengths[:, self._int_wire].T / dt
+        )
+        heat_old = (self._grid_capacitance / dt)[:, None] * t_old
+        heat_old[self.n_grid:] = int_heat * t_old[self.n_grid:]
         num_samples = t_old.shape[1]
         current = np.array(t_old if guess is None else guess, dtype=float)
         active = np.arange(num_samples)
@@ -634,18 +665,16 @@ class CoupledSolver:
             g_th = self._segment_conductances_block(
                 seg_t, active_lengths, electrical=False
             )
-            rhs = (
-                capacitance_dt[:, None] * t_old[:, active]
-                + q
-                + self.conv_rhs[:, None]
-            )
+            rhs = heat_old[:, active] + q + self.conv_rhs[:, None]
             if self.problem.radiation is not None:
                 # Explicit radiative source at the iterate; the
                 # nonlinearity converges through the fixed point.
                 rhs = rhs + self.rad_coeff[:, None] * (
                     self.t_ambient_rad**4 - t_star**4
                 )
-            t_new = thermal.solve_batch(g_th.T, rhs)
+            t_new = thermal.solve_batch(
+                np.vstack([g_th, int_heat[:, active]]).T, rhs
+            )
             damped = self.damping * (t_new - t_star)
             current[:, active] = t_star + damped
             step_norm = np.max(np.abs(damped), axis=0)
@@ -676,23 +705,63 @@ class CoupledSolver:
         telemetry.increment("solver.coupled_steps", num_samples)
         return current, iterations, phi_out, wire_power_out, field_power_out
 
-    def _step_fast(self, t_old, dt, guess=None):
-        """One implicit Euler step in fast mode.
+    def _step(self, t_old, lengths, dt, scale, guess=None):
+        """One implicit Euler step of an ``(n, S)`` block, either mode."""
+        if self.mode == "fast":
+            return self._step_block(t_old, lengths, dt, scale, guess=guess)
+        return self._step_full(t_old, dt, scale, guess=guess)
 
-        Returns ``(T_new, iterations, cache)`` like :meth:`_step_full`:
-        the ``S = 1`` view of :meth:`_step_block`, with the wire lengths
-        bound by :meth:`set_wire_lengths`.
+    def _transient(self, time_grid, lengths, waveform=None,
+                   store_fields=False):
+        """The one time loop: advance an ``(n, S)`` block over a grid.
+
+        Column ``s`` starts at ``t_initial`` with wire lengths
+        ``lengths[s]``.  Returns time-major traces (``(P, W, S)`` wire
+        blocks, ``(P, S)`` field power, ``(P - 1, S)`` iterations), the
+        final ``(n, S)`` temperatures and potentials and, with
+        ``store_fields``, the ``(n, S)`` state at every time point.
         """
-        state, iterations, phi, wire_power, field_power = self._step_block(
-            t_old[:, None], self._wire_lengths, dt, self._el_scale,
-            guess=None if guess is None else guess[:, None],
+        from .excitation import as_waveform
+
+        if not isinstance(time_grid, TimeGrid):
+            raise SolverError("time_grid must be a TimeGrid")
+        drive = as_waveform(waveform)
+        num_samples = lengths.shape[0]
+        topology = self.topology
+        temperatures = np.full(
+            (self.total_size, num_samples), self.problem.t_initial
         )
-        cache = {
-            "phi": phi[:, 0],
-            "wire_powers": wire_power[:, 0],
-            "field_power": float(field_power[0]),
+        phi = np.zeros((self.total_size, num_samples))
+        wire_t = [topology.wire_temperatures(temperatures)]
+        wire_peak = [topology.wire_peak_temperatures(temperatures)]
+        wire_p = [np.zeros((len(topology.wires), num_samples))]
+        field_p = [np.zeros(num_samples)]
+        iterations = []
+        fields = [temperatures.copy()] if store_fields else None
+        times = time_grid.times
+        for step_index in range(time_grid.num_steps):
+            scale = float(drive(times[step_index + 1]))
+            (temperatures, n_iter, phi, wire_power,
+             field_power) = self._step(
+                temperatures, lengths, time_grid.dt, scale
+            )
+            iterations.append(n_iter)
+            wire_t.append(topology.wire_temperatures(temperatures))
+            wire_peak.append(topology.wire_peak_temperatures(temperatures))
+            wire_p.append(wire_power)
+            field_p.append(field_power)
+            if store_fields:
+                fields.append(temperatures.copy())
+        return {
+            "wire_temperatures": np.stack(wire_t),
+            "wire_peak_temperatures": np.stack(wire_peak),
+            "wire_powers": np.stack(wire_p),
+            "field_joule_power": np.stack(field_p),
+            "iterations": np.stack(iterations),
+            "temperatures": temperatures,
+            "potentials": phi,
+            "fields": fields,
         }
-        return state[:, 0], int(iterations[0]), cache
 
     def step_once(self, temperatures, dt, drive_scale=1.0, guess=None):
         """One implicit Euler step of the coupled system; the new state.
@@ -708,17 +777,19 @@ class CoupledSolver:
         controller's linear predictor) -- the converged solution is the
         same within the fixed-point tolerance, just cheaper to reach.
         """
-        self._el_scale = float(drive_scale)
-        step = self._step_fast if self.mode == "fast" else self._step_full
-        new_state, _, _ = step(
-            np.asarray(temperatures, dtype=float), float(dt),
-            guess=None if guess is None else np.asarray(guess, dtype=float),
-        )
-        self._el_scale = 1.0
-        return new_state
+        new_state = self._step(
+            np.asarray(temperatures, dtype=float)[:, None],
+            self._wire_lengths, float(dt), float(drive_scale),
+            guess=None if guess is None
+            else np.asarray(guess, dtype=float)[:, None],
+        )[0]
+        return new_state[:, 0]
 
     def solve_transient(self, time_grid, store_fields=False, waveform=None):
         """Integrate the coupled system over a :class:`TimeGrid`.
+
+        The ``S = 1`` view of the time loop the blocked solves run, with
+        the wire lengths :meth:`set_wire_lengths` bound.
 
         Parameters
         ----------
@@ -738,55 +809,22 @@ class CoupledSolver:
         -------
         :class:`~repro.coupled.quantities.TransientResult`
         """
-        from .excitation import as_waveform
-
-        if not isinstance(time_grid, TimeGrid):
-            raise SolverError("time_grid must be a TimeGrid")
-        drive = as_waveform(waveform)
-        temperatures = self.problem.initial_temperatures()
-        dt = time_grid.dt
-        num_wires = len(self.problem.wires)
-
-        wire_t = [self.topology.wire_temperatures(temperatures)]
-        wire_peak = [self.topology.wire_peak_temperatures(temperatures)]
-        wire_p = [np.zeros(num_wires)]
-        field_p = [0.0]
-        iterations = []
-        fields = [temperatures.copy()] if store_fields else None
-        phi = np.zeros(self.total_size)
-
-        step = self._step_fast if self.mode == "fast" else self._step_full
-        times = time_grid.times
-        for step_index in range(time_grid.num_steps):
-            self._el_scale = float(drive(times[step_index + 1]))
-            temperatures, n_iter, cache = step(temperatures, dt)
-            iterations.append(n_iter)
-            phi = cache["phi"]
-            wire_t.append(self.topology.wire_temperatures(temperatures))
-            wire_peak.append(self.topology.wire_peak_temperatures(temperatures))
-            wire_p.append(cache["wire_powers"])
-            field_p.append(cache["field_power"])
-            if store_fields:
-                fields.append(temperatures.copy())
-        # Restore the constant drive for any later stationary solve.
-        self._el_scale = 1.0
-
+        traces = self._transient(
+            time_grid, self._wire_lengths, waveform, store_fields
+        )
         result = TransientResult(
             times=time_grid.times,
-            wire_temperatures=np.vstack(wire_t) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            wire_peak_temperatures=np.vstack(wire_peak) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            wire_powers=np.vstack(wire_p) if num_wires else
-            np.zeros((time_grid.num_points, 0)),
-            field_joule_power=np.asarray(field_p),
-            final_temperatures=temperatures,
-            final_potentials=phi,
-            iterations_per_step=iterations,
+            wire_temperatures=traces["wire_temperatures"][:, :, 0],
+            wire_peak_temperatures=traces["wire_peak_temperatures"][:, :, 0],
+            wire_powers=traces["wire_powers"][:, :, 0],
+            field_joule_power=traces["field_joule_power"][:, 0],
+            final_temperatures=traces["temperatures"][:, 0],
+            final_potentials=traces["potentials"][:, 0],
+            iterations_per_step=traces["iterations"][:, 0].tolist(),
             wire_names=self.problem.wire_names(),
         )
         if store_fields:
-            result.fields = fields
+            result.fields = [field[:, 0] for field in traces["fields"]]
         return result
 
     def solve_stationary(self, max_iterations=200, damping=0.8):
@@ -886,19 +924,12 @@ class BlockedCoupledSolver:
     ``phi`` / wire powers are the ones from their converging iteration,
     matching the per-sample fixed point), while the rest keep iterating.
 
-    Requirements (checked at construction):
-
-    * the wrapped solver runs ``mode="fast"`` (shared frozen bases);
-    * single-segment wires only -- multi-segment wires put
-      length-dependent heat capacities on internal nodes, which would
-      need a per-sample thermal base (callers fall back to the
-      per-sample loop for those).
-
-    The step itself is the wrapped solver's fast-mode kernel -- the
-    same one its per-sample path runs as the ``S = 1`` view -- so the
-    block shares every factorization with the per-sample path,
-    including the per-``dt`` thermal solver map, and both run on the
-    solver's array backend.
+    The wrapped solver must run ``mode="fast"`` (shared frozen bases;
+    checked at construction).  The time loop and the step are the
+    wrapped solver's own -- its per-sample path runs them as the
+    ``S = 1`` view -- so the block shares every factorization with the
+    per-sample path, including the per-``dt`` thermal solver map, and
+    both run on the solver's array backend.
     """
 
     def __init__(self, solver):
@@ -911,12 +942,6 @@ class BlockedCoupledSolver:
                 "blocked solves need the fast (Woodbury) mode; "
                 "mode='full' reassembles per sample"
             )
-        if solver.topology.num_extra_nodes:
-            raise SolverError(
-                "blocked solves support single-segment wires only "
-                "(multi-segment internal heat capacities depend on the "
-                "per-sample lengths); use the per-sample path"
-            )
         self.solver = solver
         self.num_wires = len(solver.topology.wires)
         self._lengths = None
@@ -928,8 +953,8 @@ class BlockedCoupledSolver:
         """Bind the ``(S, W)`` per-sample wire lengths for the next solve.
 
         Like :meth:`CoupledSolver.set_wire_lengths`, this never touches a
-        factorization -- lengths only scale the conductances fed into the
-        blocked solves.
+        factorization -- lengths only scale the conductances and
+        internal-node heat capacities fed into the blocked solves.
         """
         lengths = np.asarray(lengths, dtype=float)
         if lengths.ndim != 2 or lengths.shape[1] != self.num_wires:
@@ -959,62 +984,28 @@ class BlockedCoupledSolver:
         ``s`` up to floating-point summation-order differences of the
         batched products.
         """
-        from .excitation import as_waveform
-
-        if not isinstance(time_grid, TimeGrid):
-            raise SolverError("time_grid must be a TimeGrid")
         if self._lengths is None:
             raise SolverError(
                 "no sample block bound; call set_wire_lengths_block first"
             )
-        drive = as_waveform(waveform)
         solver = self.solver
-        num_samples = self._lengths.shape[0]
-        temperatures = np.full(
-            (solver.total_size, num_samples), solver.problem.t_initial
-        )
-        ep_start, ep_end = solver._ep_start, solver._ep_end
-
-        def endpoint_mean(block):
-            return 0.5 * (block[ep_start] + block[ep_end])
-
-        def endpoint_peak(block):
-            # Single-segment wires: the chain is exactly the two
-            # endpoint nodes (enforced at construction).
-            return np.maximum(block[ep_start], block[ep_end])
-
-        wire_t = [endpoint_mean(temperatures)]
-        wire_peak = [endpoint_peak(temperatures)]
-        wire_p = [np.zeros((self.num_wires, num_samples))]
-        field_p = [np.zeros(num_samples)]
-        iterations = []
-        times = time_grid.times
-        dt = time_grid.dt
-        for step_index in range(time_grid.num_steps):
-            scale = float(drive(times[step_index + 1]))
-            (temperatures, n_iter, _, wire_power,
-             field_power) = solver._step_block(
-                temperatures, self._lengths, dt, scale
-            )
-            solver.metrics.increment("blocked_steps")
-            telemetry.increment("solver.blocked_steps")
-            iterations.append(n_iter)
-            wire_t.append(endpoint_mean(temperatures))
-            wire_peak.append(endpoint_peak(temperatures))
-            wire_p.append(wire_power)
-            field_p.append(field_power)
+        traces = solver._transient(time_grid, self._lengths, waveform)
+        solver.metrics.increment("blocked_steps", time_grid.num_steps)
+        telemetry.increment("solver.blocked_steps", time_grid.num_steps)
 
         def sample_major(per_step):
-            # list of (W, S) per time point -> (S, P, W)
-            return np.transpose(np.stack(per_step), (2, 0, 1))
+            # (P, W, S) -> (S, P, W)
+            return np.transpose(per_step, (2, 0, 1))
 
         return BlockedTransientResult(
-            times=times,
-            wire_temperatures=sample_major(wire_t),
-            wire_peak_temperatures=sample_major(wire_peak),
-            wire_powers=sample_major(wire_p),
-            field_joule_power=np.stack(field_p).T,
-            final_temperatures=temperatures.T.copy(),
-            iterations_per_step=np.stack(iterations).T,
+            times=time_grid.times,
+            wire_temperatures=sample_major(traces["wire_temperatures"]),
+            wire_peak_temperatures=sample_major(
+                traces["wire_peak_temperatures"]
+            ),
+            wire_powers=sample_major(traces["wire_powers"]),
+            field_joule_power=traces["field_joule_power"].T,
+            final_temperatures=traces["temperatures"].T.copy(),
+            iterations_per_step=traces["iterations"].T,
             wire_names=solver.problem.wire_names(),
         )

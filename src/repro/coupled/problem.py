@@ -130,24 +130,27 @@ class WireTopology:
         """Representative wire temperatures ``T_bw,j = X_j^T T`` (eq. (5)).
 
         The average of the two *end-point* temperatures, regardless of the
-        number of segments -- exactly the paper's definition.
+        number of segments -- exactly the paper's definition.  An
+        ``(n,)`` state gives ``(W,)``; an ``(n, S)`` block of sample
+        columns gives ``(W, S)``.
         """
         temperatures = np.asarray(temperatures, dtype=float)
-        return np.asarray(
-            [stamp.average_value(temperatures) for stamp in self.endpoint_stamps]
-        )
+        starts, ends = self.endpoint_node_indices()
+        return 0.5 * (temperatures[starts] + temperatures[ends])
 
     def wire_peak_temperatures(self, temperatures):
         """Maximum temperature over each wire's chain nodes.
 
-        Equals :meth:`wire_temperatures` end-point maximum for single
-        segment wires; for multi-segment wires this sees the interior hot
-        spot the piecewise-linear profile resolves.
+        Equals the end-point maximum for single segment wires; for
+        multi-segment wires this sees the interior hot spot the
+        piecewise-linear profile resolves.  Shapes as in
+        :meth:`wire_temperatures`.
         """
         temperatures = np.asarray(temperatures, dtype=float)
-        return np.asarray(
-            [float(np.max(temperatures[chain])) for chain in self.wire_nodes]
-        )
+        peaks = np.empty((len(self.wires),) + temperatures.shape[1:])
+        for wire, chain in enumerate(self.wire_nodes):
+            peaks[wire] = np.max(temperatures[chain], axis=0)
+        return peaks
 
     def segment_temperatures(self, temperatures):
         """Average temperature of every segment (controls its conductances)."""

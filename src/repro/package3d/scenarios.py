@@ -82,9 +82,9 @@ def build_date16_model(scenario):
         **options,
     )
     # The blocked model evaluates a whole campaign chunk as one blocked
-    # transient when the study supports it (fixed stepping, fast mode,
-    # single-segment wires); otherwise the plain per-sample callable
-    # keeps the executor on the row loop.
+    # transient when the study supports it (fixed stepping, fast mode);
+    # otherwise the plain per-sample callable keeps the executor on the
+    # row loop.
     return study.block_model()
 
 

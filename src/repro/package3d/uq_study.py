@@ -359,16 +359,12 @@ class Date16UncertaintyStudy:
     def supports_block_evaluation(self):
         """Whether :meth:`evaluate_traces_block` applies to this study.
 
-        The blocked fast path needs the fast (Woodbury) solver mode,
-        single-segment wires and fixed time stepping -- the adaptive
-        controller gives every sample its own solution-dependent time
-        axis, which cannot share one blocked grid.
+        The blocked fast path needs the fast (Woodbury) solver mode and
+        fixed time stepping -- the adaptive controller gives every
+        sample its own solution-dependent time axis, which cannot share
+        one blocked grid.
         """
-        return (
-            self.time_stepping == "fixed"
-            and self.solver.mode == "fast"
-            and self.solver.topology.num_extra_nodes == 0
-        )
+        return self.time_stepping == "fixed" and self.solver.mode == "fast"
 
     def evaluate_traces_block(self, deltas_block):
         """Wire-temperature traces ``(S, P, W)`` for a block of samples.
@@ -389,8 +385,8 @@ class Date16UncertaintyStudy:
             )
         if not self.supports_block_evaluation:
             raise SamplingError(
-                "blocked evaluation needs fast mode, single-segment wires "
-                "and fixed time stepping; use evaluate_traces per sample"
+                "blocked evaluation needs fast mode and fixed time "
+                "stepping; use evaluate_traces per sample"
             )
         lengths = np.stack([
             wire_lengths_from_deltas(row, self.mesh.layout)
@@ -429,8 +425,8 @@ class Date16UncertaintyStudy:
 
         ``block_size`` opts into the sample-blocked fast path: samples
         are evaluated ``block_size`` at a time through
-        :meth:`evaluate_traces_block` (requires fixed stepping / fast
-        mode / single-segment wires) and still folded one by one in
+        :meth:`evaluate_traces_block` (requires fixed stepping and fast
+        mode) and still folded one by one in
         sample order, so the statistics match the per-sample loop within
         the blocked path's floating-point tolerance.
         """

@@ -184,3 +184,12 @@ class TestAdaptiveFallback:
         assert counters.get("campaign.blocked_solves") == 4
         assert "campaign.loop_solves" not in counters
         assert data["metrics"]["gauges"]["campaign.batch_size"] == 2
+
+    def test_segmented_campaign_records_blocked_counters(self, tmp_path):
+        spec = _tiny_spec(num_samples=2, chunk_size=2)
+        spec.scenario.options["num_segments"] = 2
+        store = ArtifactStore(tmp_path / "store")
+        run_campaign(spec, store=store, telemetry=True)
+        counters = store.read_telemetry()["metrics"]["counters"]
+        assert counters.get("campaign.blocked_solves") == 2
+        assert "campaign.loop_solves" not in counters

@@ -126,6 +126,24 @@ class TestFastMode:
         with pytest.raises(SolverError):
             CoupledSolver(wire_bridge_problem, mode="turbo")
 
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("setting, match", [
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": -1.0e-6}, "tolerance"),
+        ({"tolerance": np.nan}, "tolerance"),
+        ({"tolerance": np.inf}, "tolerance"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"damping": 0.0}, "damping"),
+        ({"damping": 1.5}, "damping"),
+        ({"damping": np.nan}, "damping"),
+    ])
+    def test_fixed_point_settings_checked_at_construction(
+        self, wire_bridge_problem, mode, setting, match
+    ):
+        """Bad fixed-point settings fail before any step is taken."""
+        with pytest.raises(SolverError, match=match):
+            CoupledSolver(wire_bridge_problem, mode=mode, **setting)
+
 
 class TestSetWireLengths:
     def test_rebinding_matches_fresh_solver(self):
@@ -167,6 +185,26 @@ class TestMultiSegment:
         endpoint = result.wire_temperatures[-1, 0]
         peak = result.wire_peak_temperatures[-1, 0]
         assert peak > endpoint
+
+    def test_lengths_reuse_each_thermal_base(self):
+        """Per-sample segmented solves factorize each per-dt base once.
+
+        The internal nodes' length-dependent heat capacities are thermal
+        Woodbury columns, so rebinding the lengths keeps every base.
+        """
+        from repro.solvers.cache import FactorizationCache
+
+        cache = FactorizationCache()
+        solver = CoupledSolver(
+            build_wire_bridge_problem(num_segments=3), mode="fast",
+            tolerance=1e-6, factorization_cache=cache,
+        )
+        for length in (1.40e-3, 1.55e-3, 1.80e-3):
+            solver.set_wire_lengths([length])
+            solver.solve_transient(TimeGrid(1.0, 2))
+            # The electrical base and the one per-dt thermal base.
+            assert cache.misses == 2
+        assert solver.thermal_solver_builds == 1
 
     def test_segmented_total_power_matches_single(self):
         time_grid = TimeGrid(10.0, 10)

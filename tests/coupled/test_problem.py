@@ -59,6 +59,32 @@ class TestWireTopologyMultiSegment:
         assert topo.wire_temperatures(t)[0] == 350.0
         assert topo.wire_peak_temperatures(t)[0] == 1000.0
 
+    def test_sample_blocks(self):
+        """An ``(n, S)`` block gives ``(W, S)``, column by column."""
+        topo = WireTopology(
+            [_wire(0, 3, segments=2), _wire(1, 2)], 4
+        )
+        block = np.array([
+            [300.0, 310.0, 320.0],
+            [305.0, 315.0, 325.0],
+            [330.0, 340.0, 350.0],
+            [400.0, 410.0, 420.0],
+            [900.0, 300.0, 350.0],  # wire 0's internal node
+        ])
+        mean = topo.wire_temperatures(block)
+        peak = topo.wire_peak_temperatures(block)
+        assert mean.shape == peak.shape == (2, 3)
+        for s in range(3):
+            np.testing.assert_array_equal(
+                mean[:, s], topo.wire_temperatures(block[:, s])
+            )
+            np.testing.assert_array_equal(
+                peak[:, s], topo.wire_peak_temperatures(block[:, s])
+            )
+        np.testing.assert_array_equal(peak[0], [900.0, 410.0, 420.0])
+        assert WireTopology([], 4).wire_peak_temperatures(block[:4]).shape \
+            == (0, 3)
+
     def test_extra_heat_capacities(self):
         wire = _wire(0, 5, segments=4)
         topo = WireTopology([wire], 10)

@@ -288,6 +288,21 @@ class TestBlockedEvaluation:
         assert blocked.shape == loop.shape
         assert np.array_equal(blocked, loop)
 
+    def test_segmented_study_blocks_match_per_sample_loop(self):
+        from repro.package3d.chip_example import Date16Parameters
+
+        study = Date16UncertaintyStudy(
+            parameters=Date16Parameters(end_time=10.0, num_time_points=6),
+            resolution=(0.9e-3, 0.4e-3),
+            tolerance=1e-3,
+            num_segments=3,
+        )
+        assert study.supports_block_evaluation
+        deltas = np.random.default_rng(12).uniform(0.05, 0.4, size=(3, 12))
+        blocked = study.evaluate_traces_block(deltas)
+        loop = np.stack([study.evaluate_traces(row) for row in deltas])
+        np.testing.assert_allclose(blocked, loop, rtol=1e-12)
+
     def test_block_shape_validation(self, tiny_study):
         with pytest.raises(SamplingError):
             tiny_study.evaluate_traces_block(np.full(12, 0.17))
